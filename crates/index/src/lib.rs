@@ -5,13 +5,13 @@
 //! [`LibraryPolicies`] from source — seconds of work at scale. This crate
 //! compiles a finished `LibraryPolicies` (plus its intraprocedural
 //! ablation, which root-cause classification needs) into one small,
-//! versioned, checksummed file — `policies.spi`, format `spo-index/1` —
+//! versioned, checksummed file — `policies.spi`, format `spo-index/2` —
 //! so both questions become pure index reads on a sub-millisecond budget.
 //!
-//! ## Layout (`spo-index/1`, all integers little-endian)
+//! ## Layout (`spo-index/2`, all integers little-endian)
 //!
 //! ```text
-//! "spo-index 1\n"                       text version header
+//! "spo-index 2\n"                       text version header
 //! str   library name                    (str = u32 length + UTF-8 bytes)
 //! str   options token                   (cache-compatible, see options_token)
 //! u64   entry-point stat (full)         feeds render_analysis's footer
@@ -28,7 +28,7 @@
 //!                                        u32 flags | u64 content_hash |
 //!                                        u64 cone fingerprint
 //! u64 B; B bytes                        blob region (off/len index into it)
-//! u64   FNV-64 of everything above      whole-file checksum
+//! u64   checksum of everything above    word-wise FNV-1a over 4 lanes
 //! ```
 //!
 //! Each entry blob holds the full policy then the intra policy, both as:
@@ -48,20 +48,29 @@
 //! rendering. Output is byte-identical to the analysis path because both
 //! funnel through [`spo_core::render_entry`] / [`spo_core::render_analysis`].
 //!
+//! The full listing and the diff work on the borrowed bytes too; neither
+//! rebuilds a [`LibraryPolicies`]. [`PolicyIndex::render_full`] reads only
+//! each entry's event list (tag, name id, check-set id) to count the
+//! footer and pick the entries with checks, then decodes just those.
+//! [`diff_indexes`] zips the two root-key-sorted offset tables, compares
+//! each matched entry's event lists by (event, must, may) through each
+//! file's own check-set table, and decodes and diffs only the pairs that
+//! differ — a handful out of tens of thousands at scale.
+//!
 //! ## Corruption discipline
 //!
-//! Same as the v3 cache pack: a trailing whole-file FNV-64 checksum plus
-//! bounded, counted reads ([`codec::Cursor`]) mean a truncated, bit-flipped,
-//! or version-bumped index degrades to a typed parse error — callers fall
-//! back to full analysis with a diagnostic, never a silent wrong answer
-//! and never a panic.
+//! A trailing whole-file checksum plus bounded, counted reads
+//! ([`codec::Cursor`]) mean a truncated, bit-flipped, or version-bumped
+//! index degrades to a typed parse error — callers fall back to full
+//! analysis with a diagnostic, never a silent wrong answer and never a
+//! panic.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use spo_core::{
-    render_analysis, render_entry, AnalysisOptions, AnalysisStats, EntryPolicy, EventKey,
-    EventPolicy, LibraryPolicies,
+    diff_entry, group_differences, render_entry, render_reports, root_keys, AnalysisOptions,
+    AnalysisStats, DiffResult, EntryPolicy, EventKey, EventPolicy, LibraryPolicies,
 };
 use spo_dataflow::{BitSet32, Dnf};
 use spo_jir::Fnv64;
@@ -76,7 +85,7 @@ use codec::Cursor;
 /// The on-disk index format version; bumped whenever the layout or the
 /// policy semantics it captures change. Old files then read as version
 /// mismatches and consumers fall back to full analysis.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Conventional file name for a compiled index.
 pub const INDEX_FILE: &str = "policies.spi";
@@ -127,6 +136,40 @@ fn header_line() -> String {
     format!("spo-index {FORMAT_VERSION}\n")
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The trailing whole-file checksum: FNV-1a run word-wise over four
+/// independent lanes, so the multiplies of neighbouring words overlap
+/// instead of forming one serial chain. Lane `i` takes every fourth
+/// little-endian u64 word starting at word `i`; the lanes are then folded
+/// together, followed by the bytes of the last partial 32-byte block and
+/// the length.
+///
+/// Every step `h ← (h ^ x) · prime` is a bijection in `x` for fixed `h`
+/// and in `h` for fixed `x` (the prime is odd), so a change confined to
+/// one word or one tail byte — in particular any single flipped bit or
+/// byte — always changes the sum.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word);
+            *lane = (*lane ^ u64::from_le_bytes(w)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    let mut h = lanes[0];
+    for lane in &lanes[1..] {
+        h = (h ^ lane).wrapping_mul(FNV_PRIME);
+    }
+    for &b in blocks.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    (h ^ bytes.len() as u64).wrapping_mul(FNV_PRIME)
+}
+
 // ---------------------------------------------------------------------------
 // Builder
 // ---------------------------------------------------------------------------
@@ -158,7 +201,7 @@ impl<T: std::hash::Hash + Eq + Clone> Interner<T> {
 }
 
 /// Compiles a library's full and intraprocedural policies into
-/// `spo-index/1` bytes.
+/// `spo-index/2` bytes.
 pub struct IndexBuilder<'a> {
     name: &'a str,
     options: &'a AnalysisOptions,
@@ -311,9 +354,8 @@ impl<'a> IndexBuilder<'a> {
             out.extend_from_slice(blob);
         }
 
-        let mut h = Fnv64::new();
-        h.write(&out);
-        codec::put_u64(&mut out, h.finish());
+        let sum = checksum(&out);
+        codec::put_u64(&mut out, sum);
         Ok(out)
     }
 }
@@ -410,7 +452,7 @@ pub struct IndexStats {
     pub bytes: usize,
 }
 
-/// Zero-copy accessor over a parsed `spo-index/1` file.
+/// Zero-copy accessor over a parsed `spo-index/2` file.
 ///
 /// Parsing decodes only the header and the two shared tables; the offset
 /// table and blob region stay borrowed from the input. [`Self::find`] is
@@ -453,10 +495,8 @@ impl<'a> PolicyIndex<'a> {
             return Err("truncated index (no checksum)".to_owned());
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let mut h = Fnv64::new();
-        h.write(body);
         let want = u64::from_le_bytes(tail.try_into().map_err(|_| "truncated index")?);
-        if h.finish() != want {
+        if checksum(body) != want {
             return Err("index checksum mismatch (corrupt index)".to_owned());
         }
 
@@ -622,15 +662,41 @@ impl<'a> PolicyIndex<'a> {
         self.string(c.u32()?)
     }
 
+    fn set(&self, id: u32) -> Result<&EventPolicy, String> {
+        self.sets
+            .get(id as usize)
+            .ok_or_else(|| format!("check-set id {id} out of range"))
+    }
+
+    /// Reads one policy's event list into `out` as borrowed views, without
+    /// allocating strings or policies (`out` is a reused buffer).
+    fn read_events<'s>(
+        &'s self,
+        c: &mut Cursor<'a>,
+        out: &mut Vec<EventRef<'s>>,
+    ) -> Result<(), String> {
+        out.clear();
+        for _ in 0..c.counted(5)? {
+            let tag = c.u8()?;
+            let name = match tag {
+                0 => "",
+                1..=3 => self.string(c.u32()?)?,
+                t => return Err(format!("unknown event tag {t}")),
+            };
+            out.push(EventRef {
+                tag,
+                name,
+                policy: self.set(c.u32()?)?,
+            });
+        }
+        Ok(())
+    }
+
     fn decode_policy(&self, sig: &str, c: &mut Cursor<'a>) -> Result<EntryPolicy, String> {
         let mut entry = EntryPolicy::new(sig.to_owned());
         for _ in 0..c.counted(5)? {
             let event = self.event_key(c)?;
-            let set_id = c.u32()?;
-            let policy = self
-                .sets
-                .get(set_id as usize)
-                .ok_or_else(|| format!("check-set id {set_id} out of range"))?;
+            let policy = self.set(c.u32()?)?;
             entry.events.insert(event, policy.clone());
         }
         for _ in 0..c.counted(5)? {
@@ -663,6 +729,13 @@ impl<'a> PolicyIndex<'a> {
         Ok((sig, full, intra))
     }
 
+    /// Decodes only a record's full policy, leaving the intra half unread.
+    fn decode_full(&self, rec: Record) -> Result<EntryPolicy, String> {
+        let mut c = Cursor::new(self.blob_of(rec)?);
+        let sig = self.string(c.u32()?)?;
+        self.decode_policy(sig, &mut c)
+    }
+
     /// Looks a signature up and renders its policy block exactly as `spo
     /// analyze` and the daemon do (via [`spo_core::render_entry`]; an
     /// entry with no checks renders as the empty string). `Ok(None)` means
@@ -674,19 +747,49 @@ impl<'a> PolicyIndex<'a> {
         if self.signature_of(rec)? != signature {
             return Ok(None);
         }
-        let (sig, full, _) = self.decode(rec)?;
-        Ok(Some(render_entry(&sig, &full)))
+        Ok(Some(render_entry(signature, &self.decode_full(rec)?)))
     }
 
     /// Renders the full library listing exactly as `spo analyze` does
-    /// (via [`spo_core::render_analysis`]).
+    /// ([`spo_core::render_analysis`] of [`Self::to_libraries`]'s full
+    /// half), without rebuilding the library: one pass over the event
+    /// lists yields the footer counts and the entries with checks, and
+    /// only those are decoded and rendered, in signature order.
     ///
     /// # Errors
     ///
     /// Propagates blob decode failures.
     pub fn render_full(&self) -> Result<String, String> {
-        let (full, _) = self.to_libraries()?;
-        Ok(render_analysis(&full))
+        let (mut with_checks, mut may_policies, mut must_policies) = (0usize, 0usize, 0usize);
+        let mut checked: Vec<(&'a str, Record)> = Vec::new();
+        let mut events = Vec::new();
+        for rec in self.records() {
+            let mut c = Cursor::new(self.blob_of(rec)?);
+            let sig = self.string(c.u32()?)?;
+            self.read_events(&mut c, &mut events)?;
+            // The counts of LibraryPolicies::{entries_with_checks,
+            // may_policy_count, must_policy_count}.
+            must_policies += events.len();
+            may_policies += events
+                .iter()
+                .map(|e| e.policy.may_paths.disjuncts().len().max(1))
+                .sum::<usize>();
+            if events.iter().any(|e| !e.policy.is_unchecked()) {
+                with_checks += 1;
+                checked.push((sig, rec));
+            }
+        }
+        checked.sort_unstable_by_key(|&(sig, _)| sig);
+        let mut out = String::new();
+        for (sig, rec) in checked {
+            out.push_str(&render_entry(sig, &self.decode_full(rec)?));
+        }
+        out.push_str(&format!(
+            "# {} entry points, {with_checks} with checks, {may_policies} may / \
+             {must_policies} must policies\n",
+            self.entry_points_full,
+        ));
+        Ok(out)
     }
 
     /// Reconstructs the `(full, intra)` [`LibraryPolicies`] pair the index
@@ -721,6 +824,134 @@ impl<'a> PolicyIndex<'a> {
     }
 }
 
+/// One event of an encoded policy, borrowed from its index: the event key
+/// as (tag, name — empty for the API return) and its interned policy.
+struct EventRef<'s> {
+    tag: u8,
+    name: &'s str,
+    policy: &'s EventPolicy,
+}
+
+/// `true` if two event lists (each in its file's canonical event-key
+/// order) have the same events with the same must and may sets — exactly
+/// when paper-mode [`spo_core::diff_entry`] can report nothing for them.
+fn same_paper_events(left: &[EventRef<'_>], right: &[EventRef<'_>]) -> bool {
+    left.len() == right.len()
+        && left.iter().zip(right).all(|(l, r)| {
+            l.tag == r.tag
+                && l.name == r.name
+                && l.policy.must == r.policy.must
+                && l.policy.may == r.policy.may
+        })
+}
+
+/// Steps a cursor over one policy's event-origin and check-origin
+/// sections (interned ids only, nothing to resolve).
+fn skip_origins(c: &mut Cursor<'_>) -> Result<(), String> {
+    for _ in 0..c.counted(5)? {
+        match c.u8()? {
+            0 => {}
+            1..=3 => {
+                c.u32()?;
+            }
+            t => return Err(format!("unknown event tag {t}")),
+        }
+        let n = c.counted(4)?;
+        c.take(n as usize * 4)?;
+    }
+    for _ in 0..c.counted(5)? {
+        c.u8()?;
+        let n = c.counted(4)?;
+        c.take(n as usize * 4)?;
+    }
+    Ok(())
+}
+
+/// The pairwise oracle diff answered from two parsed indexes, without
+/// rebuilding either library: the same report bytes and findings bit as
+/// [`diff_rendered`] over both sides' [`PolicyIndex::to_libraries`].
+///
+/// One linear pass zips the two root-key-sorted offset tables; a key match
+/// counts only if the signatures agree. Each matched pair whose full (or
+/// intra) event lists agree on every (event, must, may) is skipped, since
+/// paper-mode [`spo_core::diff_entry`] reports nothing for it. Only the
+/// remaining pairs are decoded and diffed — full pairs in signature order,
+/// because [`spo_core::group_differences`] keeps each group's first
+/// difference as its representative.
+///
+/// The caller checks [`PolicyIndex::options_token`] agreement first, as
+/// for any two analyses being compared.
+///
+/// # Errors
+///
+/// Propagates blob decode failures from either side.
+pub fn diff_indexes(
+    left: &PolicyIndex<'_>,
+    right: &PolicyIndex<'_>,
+) -> Result<(String, bool), String> {
+    let mut matching_apis = 0;
+    let mut full_pairs: Vec<(&str, Record, Record)> = Vec::new();
+    let mut intra_pairs: Vec<(Record, Record)> = Vec::new();
+    let (mut lev, mut rev) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0, 0);
+    while i < left.count && j < right.count {
+        let (l, r) = (left.row(i), right.row(j));
+        match l.root_key.cmp(&r.root_key) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+                let mut lc = Cursor::new(left.blob_of(l)?);
+                let mut rc = Cursor::new(right.blob_of(r)?);
+                let sig = left.string(lc.u32()?)?;
+                if sig != right.string(rc.u32()?)? {
+                    continue;
+                }
+                matching_apis += 1;
+                left.read_events(&mut lc, &mut lev)?;
+                right.read_events(&mut rc, &mut rev)?;
+                if !same_paper_events(&lev, &rev) {
+                    full_pairs.push((sig, l, r));
+                }
+                skip_origins(&mut lc)?;
+                skip_origins(&mut rc)?;
+                left.read_events(&mut lc, &mut lev)?;
+                right.read_events(&mut rc, &mut rev)?;
+                if !same_paper_events(&lev, &rev) {
+                    intra_pairs.push((l, r));
+                }
+            }
+        }
+    }
+    full_pairs.sort_unstable_by_key(|p| p.0);
+
+    let mut diff = DiffResult {
+        left_name: left.library.to_owned(),
+        right_name: right.library.to_owned(),
+        matching_apis,
+        differences: Vec::new(),
+    };
+    for (_, l, r) in full_pairs {
+        let (lf, rf) = (left.decode_full(l)?, right.decode_full(r)?);
+        diff.differences.extend(diff_entry(&lf, &rf));
+    }
+    let mut intra = DiffResult::default();
+    for (l, r) in intra_pairs {
+        let ((_, _, li), (_, _, ri)) = (left.decode(l)?, right.decode(r)?);
+        intra.differences.extend(diff_entry(&li, &ri));
+    }
+    Ok(render_diff(&diff, &intra))
+}
+
+/// Groups a full-policy diff, classifying root causes against the intra
+/// ablation's diff, and renders it: the report plus whether any
+/// difference was found.
+fn render_diff(diff: &DiffResult, intra: &DiffResult) -> (String, bool) {
+    let groups = group_differences(diff, &root_keys(intra));
+    (render_reports(diff, &groups), !groups.is_empty())
+}
+
 /// Composes the analysis-path pairwise diff from two reconstructed
 /// `(full, intra)` pairs: differences over the full policies, root-cause
 /// classification against the intra ablation's keys, grouped and rendered
@@ -734,12 +965,10 @@ pub fn diff_rendered(
     right_full: &LibraryPolicies,
     right_intra: &LibraryPolicies,
 ) -> (String, bool) {
-    let diff = spo_core::diff_libraries(left_full, right_full);
-    let intra_keys = spo_core::root_keys(&spo_core::diff_libraries(left_intra, right_intra));
-    let groups = spo_core::group_differences(&diff, &intra_keys);
-    let report = spo_core::render_reports(&diff, &groups);
-    let findings = !groups.is_empty();
-    (report, findings)
+    render_diff(
+        &spo_core::diff_libraries(left_full, right_full),
+        &spo_core::diff_libraries(left_intra, right_intra),
+    )
 }
 
 /// Reads an index file in one `read()`, with the `index.read.bitflip`
@@ -772,7 +1001,7 @@ pub fn read_index_file_with(path: &Path, plan: &spo_chaos::FaultPlan) -> std::io
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spo_core::{Check, CheckSet};
+    use spo_core::{render_analysis, Check, CheckSet};
 
     fn policy(must: &[Check], may_paths: &[&[Check]]) -> EventPolicy {
         let must: CheckSet = must.iter().copied().collect();
@@ -926,10 +1155,45 @@ mod tests {
         assert!(PolicyIndex::parse(&bytes[..10]).is_err());
         // Version bump: clean version error, no decode attempt.
         let mut bumped = bytes.clone();
-        bumped[10] = b'9'; // "spo-index 1\n" -> "spo-index 9\n"
+        bumped[10] = b'9'; // "spo-index 2\n" -> "spo-index 9\n"
         assert!(PolicyIndex::parse(&bumped).unwrap_err().contains("version"));
         // Garbage header.
         assert!(PolicyIndex::parse(b"not an index\n").is_err());
+    }
+
+    #[test]
+    fn every_probed_bitflip_fails_the_checksum() {
+        let (full, intra) = fixture();
+        let bytes = build(&full, &intra);
+        let tail = bytes.len().saturating_sub(64);
+        let positions = (0..bytes.len()).step_by(7).chain(tail..bytes.len());
+        for pos in positions {
+            for bit in [0x01u8, 0x80] {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= bit;
+                assert!(
+                    PolicyIndex::parse(&flipped).is_err(),
+                    "flip {bit:#04x} at byte {pos} of {} went unnoticed",
+                    bytes.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_covers_words_tail_and_length() {
+        let base: Vec<u8> = (0..77u8).collect(); // two 32-byte blocks + 13 tail bytes
+        let sum = checksum(&base);
+        for pos in 0..base.len() {
+            let mut b = base.clone();
+            b[pos] ^= 0x10;
+            assert_ne!(checksum(&b), sum, "byte {pos}");
+        }
+        // Trailing zeros are not free: the length is folded in.
+        let mut longer = base.clone();
+        longer.push(0);
+        assert_ne!(checksum(&longer), sum);
+        assert_ne!(checksum(&[]), checksum(&[0]));
     }
 
     #[test]

@@ -149,6 +149,7 @@ impl Value {
 /// malformed input or trailing garbage.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -162,6 +163,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -300,13 +302,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the unescaped run up to the next quote or
+                    // backslash in one go. Both are ASCII, so the run ends
+                    // on a char boundary of the input &str.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.input[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -560,6 +564,42 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
         assert!(parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn strings_keep_multibyte_text_and_every_escape() {
+        let v = parse(r#""héllo ✓ 𝄞 \" \\ \/ \n \r \t \b \f \u00e9 \u2713 end""#).unwrap();
+        assert_eq!(
+            v.as_str().unwrap(),
+            "héllo ✓ 𝄞 \" \\ / \n \r \t \u{8} \u{c} é ✓ end"
+        );
+        // Runs on either side of an escape, and escapes back to back.
+        let v = parse(r#"["ü\"ü", "\n\n", "", "ends with ß"]"#).unwrap();
+        let items: Vec<&str> = v
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        assert_eq!(items, ["ü\"ü", "\n\n", "", "ends with ß"]);
+        assert!(parse(r#""unterminated ✓"#).is_err());
+        assert!(parse(r#""bad \q escape""#).is_err());
+    }
+
+    #[test]
+    fn parse_is_linear_in_string_length() {
+        // A string over 1 MiB: quadratic scanning would take minutes here.
+        let body: String = "abcdefé\\n".repeat(1 << 17);
+        let doc = format!("{{\"k\": \"{body}\"}}");
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let got = v.get("k").unwrap().as_str().unwrap();
+        assert_eq!(got, "abcdefé\n".repeat(1 << 17));
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(5),
+            "parsing a 1 MiB string took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

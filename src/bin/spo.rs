@@ -154,12 +154,13 @@ exponential backoff (`--retries`, `--retry-base-ms`); `spo serve
 stall past it.
 
 `spo cache export-index` compiles a library's full analysis (plus its
-intraprocedural ablation) into a single-file index (`spo-index/1`,
+intraprocedural ablation) into a single-file index (`spo-index/2`,
 conventionally `policies.spi`): an interned, checksummed, offset-table
-pack answering `query`/`diff` in sub-millisecond time without rerunning
-the engine. `spo index query` binary-searches one entry point (or lists
-the whole library); `spo index diff` runs the oracle over two indexes.
-Both print bytes identical to the `analyze`/`diff` path. A corrupt,
+pack answering `query`/`diff` without rerunning the engine. `spo index
+query` binary-searches one entry point (or lists the whole library);
+`spo index diff` runs the oracle over two indexes, decoding only the
+entries whose policies differ. Both read the file's bytes directly and
+print bytes identical to the `analyze`/`diff` path. A corrupt,
 truncated, or version-skewed index is a fatal typed error (exit 3) —
 re-export it or fall back to full analysis; it never yields a wrong
 answer. `spo serve --index NAME=PATH.spi` preloads an index so the
@@ -917,7 +918,7 @@ fn cmd_cache(args: &[String]) -> Result<ExitCode, String> {
 
 /// `spo cache export-index <file.jir>... --out PATH.spi`: run the full
 /// analysis plus its intraprocedural ablation and compile both into one
-/// `spo-index/1` file. Compiling a degraded analysis is refused — an
+/// `spo-index/2` file. Compiling a degraded analysis is refused — an
 /// index is durable, so baking in a lower-bound answer would let it
 /// masquerade as the complete one forever after.
 fn cmd_cache_export_index(args: &[String]) -> Result<ExitCode, String> {
@@ -990,8 +991,10 @@ fn cmd_cache_export_index(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `spo index (query|diff)`: answer from a compiled `.spi` index without
-/// running the engine. Any parse/decode failure is fatal (exit 3) with a
-/// diagnostic naming the file — degraded, never wrong.
+/// running the engine or rebuilding the library; the listing and the
+/// diff decode only the entries they print or compare. Any parse/decode
+/// failure is fatal (exit 3) with a diagnostic naming the file —
+/// degraded, never wrong.
 fn cmd_index(args: &[String]) -> Result<ExitCode, String> {
     match args.first().map(String::as_str) {
         Some("query") => cmd_index_query(&args[1..]),
@@ -1083,14 +1086,8 @@ fn cmd_index_diff(args: &[String]) -> Result<ExitCode, String> {
             right.options_token(),
         ));
     }
-    let (left_full, left_intra) = left
-        .to_libraries()
-        .map_err(|e| index_parse_err(left_path, &e))?;
-    let (right_full, right_intra) = right
-        .to_libraries()
-        .map_err(|e| index_parse_err(right_path, &e))?;
-    let (report, findings) =
-        spo_index::diff_rendered(&left_full, &left_intra, &right_full, &right_intra);
+    let (report, findings) = spo_index::diff_indexes(&left, &right)
+        .map_err(|e| index_parse_err(&format!("{left_path} vs {right_path}"), &e))?;
     print_report(&report)?;
     Ok(if findings {
         ExitCode::from(EXIT_FINDINGS)
