@@ -27,7 +27,7 @@ use spo_bench::{
 use spo_cache::PolicyCache;
 use spo_core::{AnalysisOptions, MemoScope};
 use spo_corpus::Lib;
-use spo_engine::{AnalysisEngine, EngineStats, Publication};
+use spo_engine::{AnalysisEngine, EngineStats};
 use spo_guard::GuardConfig;
 use spo_obs::Snapshot;
 use spo_serve::{OptionsSpec, Registry};
@@ -520,14 +520,23 @@ fn measure_index(corpus: &spo_corpus::Corpus, scale: f64) -> IndexLatency {
     }
 }
 
-/// One (jobs × publication) cell of the scale sweep.
+/// Timed trials per (scale, jobs) cell of the scale sweep.
+const SWEEP_TRIALS: usize = 5;
+
+/// One (scale, jobs) cell of the scale sweep: the median trial's stats
+/// plus the spread of every trial's wall clock.
 struct SweepRow {
     jobs: usize,
-    publication: &'static str,
+    /// Stats of the median trial by wall clock.
     stats: EngineStats,
+    /// Fastest trial's wall clock, in milliseconds.
+    min_ms: f64,
+    /// Slowest trial's wall clock, in milliseconds.
+    max_ms: f64,
 }
 
 impl SweepRow {
+    /// Median trial's wall clock, in milliseconds.
     fn wall_ms(&self) -> f64 {
         self.stats.wall_nanos as f64 / 1e6
     }
@@ -557,11 +566,11 @@ fn env_list(var: &str, default: &str) -> Vec<f64> {
 }
 
 /// The scale sweep: for each corpus scale in `SPO_SWEEP_SCALES` (default
-/// `1,10`), analyze the jdk implementation under global memoization at
-/// each worker count in `SPO_SWEEP_JOBS` (default `1,2,4,8`), once with
-/// write-behind publication and once with the direct-publication
-/// baseline. Cross-jobs speedup is only meaningful relative to the
-/// machine's core count, which the JSON records alongside the rows.
+/// `1,10`), analyze the jdk implementation under global memoization
+/// [`SWEEP_TRIALS`] times at each worker count in `SPO_SWEEP_JOBS`
+/// (default `1,2,4,8`) and keep the median, min, and max wall clock.
+/// Cross-jobs speedup is only meaningful relative to the machine's core
+/// count, which the JSON records alongside the rows.
 fn measure_scale_sweep() -> (usize, Vec<SweepScale>, Option<IndexLatency>) {
     use spo_corpus::{generate, CorpusConfig};
     let scales = env_list("SPO_SWEEP_SCALES", "1,10");
@@ -595,36 +604,33 @@ fn measure_scale_sweep() -> (usize, Vec<SweepScale>, Option<IndexLatency>) {
         let _ = AnalysisEngine::new(1).analyze_library(program, "jdk", options);
         let mut rows = Vec::new();
         for &j in &jobs {
-            for (publication, name) in [
-                (Publication::WriteBehind, "write_behind"),
-                (Publication::Direct, "direct"),
-            ] {
-                // Best of 3 trials by wall clock: a single scheduler
-                // preemption while a shard lock is held shows up as a
-                // milliseconds-long wait outlier, and the sweep is about
-                // the publication protocol, not the host's time slicing.
-                let stats = (0..3)
-                    .map(|_| {
-                        let engine = AnalysisEngine::new(j).with_publication(publication);
-                        engine.analyze_library(program, "jdk", options).1
-                    })
-                    .min_by_key(|s| s.wall_nanos)
-                    .expect("at least one trial");
-                let row = SweepRow {
-                    jobs: j,
-                    publication: name,
-                    stats,
-                };
-                eprintln!(
-                    "scale {scale:>4} jobs {j} {name:<12} wall {:>9.1} ms  \
-                     lock p99 {:>7.1} us  {} flushes  {} batches stolen",
-                    row.wall_ms(),
-                    row.lock_wait_us(0.99),
-                    row.stats.writeback_flushes,
-                    row.stats.batches_stolen,
-                );
-                rows.push(row);
-            }
+            // The median trial carries the row; min and max give its
+            // noise band, so a later run can tell a change from jitter.
+            let mut trials: Vec<EngineStats> = (0..SWEEP_TRIALS)
+                .map(|_| {
+                    AnalysisEngine::new(j)
+                        .analyze_library(program, "jdk", options)
+                        .1
+                })
+                .collect();
+            trials.sort_by_key(|s| s.wall_nanos);
+            let ms = |s: &EngineStats| s.wall_nanos as f64 / 1e6;
+            let (min_ms, max_ms) = (ms(&trials[0]), ms(&trials[SWEEP_TRIALS - 1]));
+            let row = SweepRow {
+                jobs: j,
+                stats: trials.swap_remove(SWEEP_TRIALS / 2),
+                min_ms,
+                max_ms,
+            };
+            eprintln!(
+                "scale {scale:>4} jobs {j} wall {:>9.1} ms (min {:.1}, max {:.1})  \
+                 lock p99 {:>7.1} us",
+                row.wall_ms(),
+                row.min_ms,
+                row.max_ms,
+                row.lock_wait_us(0.99),
+            );
+            rows.push(row);
         }
         out.push(SweepScale {
             scale,
@@ -723,8 +729,7 @@ fn write_json(
                 out,
                 "        {{ \"library\": \"{}\", \"may_ms\": {:.3}, \"must_ms\": {:.3}, \
                  \"wall_ms\": {:.3}, \"frames\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \
-                 \"memo_hit_rate\": {:.4}, \"steals\": {}, \"batches_stolen\": {}, \
-                 \"contended\": {}, \
+                 \"memo_hit_rate\": {:.4}, \"contended\": {}, \
                  \"lock_wait_events\": {}, \"lock_wait_p50_us\": {:.3}, \
                  \"lock_wait_p99_us\": {:.3}, \"contention\": \"{}\", \
                  \"cache_hits\": {}, \"cache_misses\": {} }}{}",
@@ -736,8 +741,6 @@ fn write_json(
                 a.memo_hits,
                 a.memo_misses,
                 m.hit_rate(),
-                m.stats.steals,
-                m.stats.batches_stolen,
                 m.stats.contended(),
                 m.stats.lock_wait().count,
                 m.lock_wait_us(0.5),
@@ -787,9 +790,10 @@ fn write_json(
     }
     out.push_str("  ],\n");
     // Scale sweep: jdk under global memo across corpus scales × worker
-    // counts × publication modes. `parallel_speedup` is relative to the
-    // jobs=1 run of the same scale and publication mode; `cores` bounds
-    // what any cross-jobs speedup can honestly reach on this machine.
+    // counts, median of SWEEP_TRIALS with min and max. `parallel_speedup`
+    // is the jobs=1 median over this row's median at the same scale;
+    // `cores` bounds what any cross-jobs speedup can honestly reach on
+    // this machine.
     out.push_str("  \"scale_sweep\": {\n");
     let _ = writeln!(out, "    \"cores\": {cores},");
     out.push_str("    \"scales\": [\n");
@@ -802,7 +806,7 @@ fn write_json(
             let baseline = s
                 .rows
                 .iter()
-                .find(|b| b.jobs == 1 && b.publication == r.publication)
+                .find(|b| b.jobs == 1)
                 .map_or(0.0, SweepRow::wall_ms);
             let speedup = if r.wall_ms() > 0.0 {
                 baseline / r.wall_ms()
@@ -811,27 +815,21 @@ fn write_json(
             };
             let _ = writeln!(
                 out,
-                "          {{ \"jobs\": {}, \"publication\": \"{}\", \"workers\": {}, \
-                 \"oversubscribed\": {}, \
-                 \"wall_ms\": {:.3}, \"parallel_speedup\": {:.3}, \
+                "          {{ \"jobs\": {}, \"workers\": {}, \"oversubscribed\": {}, \
+                 \"trials\": {SWEEP_TRIALS}, \"wall_ms\": {:.3}, \"wall_ms_min\": {:.3}, \
+                 \"wall_ms_max\": {:.3}, \"parallel_speedup\": {:.3}, \
                  \"lock_wait_events\": {}, \"lock_wait_p50_us\": {:.3}, \
-                 \"lock_wait_p99_us\": {:.3}, \"steals\": {}, \"batches_stolen\": {}, \
-                 \"batches_formed\": {}, \"writeback.flushes\": {}, \
-                 \"writeback.deferred_hits\": {} }}{}",
+                 \"lock_wait_p99_us\": {:.3} }}{}",
                 r.jobs,
-                r.publication,
                 r.stats.workers,
                 r.stats.workers > cores,
                 r.wall_ms(),
+                r.min_ms,
+                r.max_ms,
                 speedup,
                 r.stats.lock_wait().count,
                 r.lock_wait_us(0.5),
                 r.lock_wait_us(0.99),
-                r.stats.steals,
-                r.stats.batches_stolen,
-                r.stats.batches_formed,
-                r.stats.writeback_flushes,
-                r.stats.writeback_deferred_hits,
                 if ri + 1 < s.rows.len() { "," } else { "" },
             );
         }
@@ -1001,7 +999,6 @@ fn main() {
         "serial wall ms",
         "parallel wall ms",
         "speedup",
-        "batches stolen",
         "shard contention",
     ]);
     for (serial, par) in runs[2].iter().zip(&runs[3]) {
@@ -1011,7 +1008,6 @@ fn main() {
             format!("{s:.1}"),
             format!("{p:.1}"),
             format!("{:.1}x", s / p),
-            format!("{} ({} roots)", par.stats.batches_stolen, par.stats.steals),
             par.contention_summary(),
         ]);
     }
@@ -1111,19 +1107,18 @@ fn main() {
     let mut table = Table::new(vec![
         "scale",
         "jobs",
-        "publication",
-        "wall ms",
+        "median ms",
+        "min ms",
+        "max ms",
         "speedup",
         "lock p99 us",
-        "wb flushes",
-        "batches stolen",
     ]);
     for s in &sweep {
         for r in &s.rows {
             let baseline = s
                 .rows
                 .iter()
-                .find(|b| b.jobs == 1 && b.publication == r.publication)
+                .find(|b| b.jobs == 1)
                 .map_or(0.0, SweepRow::wall_ms);
             // An oversubscribed cell (workers > cores) measures the
             // host's time slicing, not the engine; label it instead of
@@ -1136,16 +1131,15 @@ fn main() {
             table.row(vec![
                 format!("{}", s.scale),
                 r.jobs.to_string(),
-                r.publication.to_string(),
                 format!("{:.1}", r.wall_ms()),
+                format!("{:.1}", r.min_ms),
+                format!("{:.1}", r.max_ms),
                 speedup,
                 format!("{:.1}", r.lock_wait_us(0.99)),
-                r.stats.writeback_flushes.to_string(),
-                r.stats.batches_stolen.to_string(),
             ]);
         }
     }
-    println!("Scale sweep, jdk, global memo ({cores} cores)\n");
+    println!("Scale sweep, jdk, global memo, {SWEEP_TRIALS} trials per row ({cores} cores)\n");
     println!("{}", table.render());
 
     // Compiled-index latency (spo index): query/diff without the engine.

@@ -22,7 +22,7 @@
 //!   paths: cache flush, one rpc session's reads and writes).
 //! - [`FaultPlan::should_fire_keyed`] draws from `seed ⊕ site ⊕ key`, a
 //!   pure function of the *argument* — the right mode inside thread
-//!   pools, where work-stealing makes probe order nondeterministic but
+//!   pools, where thread timing makes probe order nondeterministic but
 //!   the set of work items (root signatures) is fixed.
 //!
 //! Processes spawned by `spo chaos soak` inherit the plan through the

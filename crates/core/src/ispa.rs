@@ -834,27 +834,14 @@ impl<'a, 'p, P: PolicyDomain> Pass<'a, 'p, P> {
         // Commit protocol: only committed frames (top frame, memo off, or
         // the insert that newly entered the store) flush to deterministic
         // metrics; race losers and recursion-tainted frames flush to
-        // scheduling-dependent work counters. See [`PassObs`]. A
-        // write-behind store defers the insert — and with it the
-        // committed-vs-speculative decision — to its batched flush, which
-        // settles the same metrics from the [`FrameCost`] handed over
-        // here.
+        // scheduling-dependent work counters. See [`PassObs`].
         if top || !memo_on {
             self.obs.flush_committed(&fobs);
         } else if clean {
-            let cost = crate::store::FrameCost {
-                transfers: fobs.fx.transfers,
-                visited: fobs.fx.visited,
-                cfg_edges: fobs.cfg_edges,
-                resolved: fobs.resolved,
-                unresolved: fobs.unresolved,
-            };
-            match self.store.insert_costed(key, Arc::clone(&summary), cost) {
-                Some(true) => self.obs.flush_committed(&fobs),
-                Some(false) => self.obs.flush_speculative(&fobs),
-                // Deferred: the store owns the cost and flushes it when
-                // the batched insert resolves.
-                None => {}
+            if self.store.insert(key, Arc::clone(&summary)) {
+                self.obs.flush_committed(&fobs);
+            } else {
+                self.obs.flush_speculative(&fobs);
             }
         } else {
             self.obs.flush_tainted(&fobs);

@@ -47,7 +47,6 @@ pub use report::{
     ReportTally, RootCause,
 };
 pub use store::{
-    FrameCost, LocalStore, MemoKey, ShardStats, SharedStore, Summary, SummaryStore, WriteBehind,
-    WriteBehindStats, DEFAULT_SHARDS,
+    LocalStore, MemoKey, ShardStats, SharedStore, Summary, SummaryStore, DEFAULT_SHARDS,
 };
 pub use throws::{diff_throws, LibraryThrows, ThrowSet, ThrowsAnalyzer, ThrowsDifference};

@@ -17,8 +17,7 @@ use crate::events::EventKey;
 use crate::ispa::PolicyDomain;
 use spo_dataflow::AbsVal;
 use spo_jir::MethodId;
-use spo_obs::{trace, Counter, HistSnapshot, Histogram, Recorder};
-use std::cell::{Cell, RefCell};
+use spo_obs::{trace, HistSnapshot, Histogram};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -58,30 +57,6 @@ pub struct Summary<P> {
     pub(crate) checks: Vec<(crate::checks::Check, MethodId)>,
 }
 
-/// The deterministic per-frame metrics a clean summary carries into a
-/// deferred (write-behind) publication, so the commit protocol's
-/// counters can be flushed when the insert outcome becomes known.
-///
-/// Every field is a pure function of the summary's [`MemoKey`] — the
-/// fixpoint over a method body in a fixed context performs the same
-/// transfers and resolves the same calls no matter which worker runs it —
-/// which is what lets a *different* worker's copy claim the committed
-/// flush without perturbing the deterministic totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FrameCost {
-    /// Worklist transfer-function applications of the frame's fixpoint.
-    pub transfers: u64,
-    /// Statements visited at least once by the fixpoint (so
-    /// `transfers - visited` is the repass count).
-    pub visited: u64,
-    /// CFG edges of the frame's body (0 when the recorder was disabled).
-    pub cfg_edges: u64,
-    /// Call sites resolved to a unique target.
-    pub resolved: u64,
-    /// Call sites left ambiguous or unknown.
-    pub unresolved: u64,
-}
-
 /// Storage backend for memoized method summaries.
 ///
 /// Implementations use interior mutability so a store can be shared by
@@ -97,27 +72,6 @@ pub trait SummaryStore<P: PolicyDomain> {
     /// observability layer uses to count each memoized frame exactly once
     /// regardless of worker count.
     fn insert(&self, key: MemoKey<P>, summary: Arc<Summary<P>>) -> bool;
-
-    /// Like [`insert`], but carrying the frame's deterministic metrics so
-    /// a buffering store can defer the insert — and with it the
-    /// committed-vs-speculative decision — to a later batched flush.
-    ///
-    /// Returns `Some(newness)` when the insert happened immediately (the
-    /// caller flushes its own frame metrics, as with [`insert`]), or
-    /// `None` when it was deferred: the store now owns `cost` and must
-    /// flush it under the same commit protocol once the batched insert
-    /// resolves. The default implementation never defers.
-    ///
-    /// [`insert`]: SummaryStore::insert
-    fn insert_costed(
-        &self,
-        key: MemoKey<P>,
-        summary: Arc<Summary<P>>,
-        cost: FrameCost,
-    ) -> Option<bool> {
-        let _ = cost;
-        Some(self.insert(key, summary))
-    }
 
     /// Drops all recorded summaries ([`MemoScope::PerEntry`] runs clear
     /// between entry points).
@@ -217,9 +171,6 @@ pub struct ShardStats {
     pub lock_wait: HistSnapshot,
 }
 
-/// One publishable store entry: a memo key and its summary.
-pub type StoreEntry<P> = (MemoKey<P>, Arc<Summary<P>>);
-
 /// The concurrent store: lock-striped shards shared between worker threads.
 ///
 /// Keys are distributed over shards by hash so concurrent workers mostly
@@ -237,65 +188,10 @@ impl<P: PolicyDomain> SharedStore<P> {
         }
     }
 
-    fn shard_index(&self, key: &MemoKey<P>) -> usize {
+    fn shard(&self, key: &MemoKey<P>) -> &Shard<P> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
-    }
-
-    fn shard(&self, key: &MemoKey<P>) -> &Shard<P> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Inserts a batch of summaries with **one lock acquisition per
-    /// touched shard**, returning each entry's newness in input order
-    /// (same contract as [`SummaryStore::insert`], first writer wins).
-    ///
-    /// This is the write-behind publication path: a worker that buffered
-    /// N summaries pays `distinct shards` write acquisitions instead of
-    /// N, and exactly one `true` is still returned globally per unique
-    /// key no matter how many workers flush copies of it.
-    pub fn insert_batch(&self, entries: Vec<StoreEntry<P>>) -> Vec<bool> {
-        let mut newness = vec![false; entries.len()];
-        // Group entry positions by shard so each stripe is locked once.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        let mut entries: Vec<Option<StoreEntry<P>>> = entries.into_iter().map(Some).collect();
-        for (pos, entry) in entries.iter().enumerate() {
-            if let Some((key, _)) = entry {
-                by_shard[self.shard_index(key)].push(pos);
-            }
-        }
-        for (si, positions) in by_shard.into_iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let shard = &self.shards[si];
-            let mut map = match shard.map.try_write() {
-                Ok(guard) => guard,
-                Err(std::sync::TryLockError::WouldBlock) => {
-                    shard.contended.fetch_add(1, Ordering::Relaxed);
-                    blocking_acquire(&shard.wait, || {
-                        shard.map.write().unwrap_or_else(|e| e.into_inner())
-                    })
-                }
-                Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-            };
-            for pos in positions {
-                let Some((key, summary)) = entries[pos].take() else {
-                    continue;
-                };
-                if let std::collections::hash_map::Entry::Vacant(v) = map.entry(key) {
-                    v.insert(summary);
-                    newness[pos] = true;
-                }
-            }
-        }
-        newness
+        &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
     /// Snapshots the per-shard counters.
@@ -376,223 +272,6 @@ impl<P: PolicyDomain> SummaryStore<P> for SharedStore<P> {
             .iter()
             .map(|s| s.map.read().unwrap_or_else(|e| e.into_inner()).len())
             .sum()
-    }
-}
-
-/// Pre-resolved metric handles for deferred frame publication. The
-/// deterministic names mirror the ISPA pass's frame-commit protocol
-/// exactly (`ispa.frames`, `dataflow.transfers`, …): a frame whose clean
-/// summary is deferred here flushes to the *same* counters it would have
-/// flushed to had it been inserted directly, just later — so the
-/// deterministic sections stay byte-identical to direct publication.
-struct WriteBehindObs {
-    frames: Counter,
-    transfers: Counter,
-    cfg_edges: Counter,
-    calls_resolved: Counter,
-    calls_unresolved: Counter,
-    hist_transfers: Histogram,
-    hist_repasses: Histogram,
-    spec_frames: Counter,
-    spec_transfers: Counter,
-    flushes: Counter,
-    deferred_hits: Counter,
-}
-
-impl WriteBehindObs {
-    fn new(rec: &Recorder) -> Self {
-        WriteBehindObs {
-            frames: rec.counter("ispa.frames"),
-            transfers: rec.counter("dataflow.transfers"),
-            cfg_edges: rec.counter("ispa.cfg.edges"),
-            calls_resolved: rec.counter("ispa.calls.resolved"),
-            calls_unresolved: rec.counter("ispa.calls.unresolved"),
-            hist_transfers: rec.histogram("fixpoint.transfers"),
-            hist_repasses: rec.histogram("fixpoint.repasses"),
-            spec_frames: rec.work_counter("ispa.speculative.frames"),
-            spec_transfers: rec.work_counter("ispa.speculative.transfers"),
-            flushes: rec.work_counter("writeback.flushes"),
-            deferred_hits: rec.work_counter("writeback.deferred_hits"),
-        }
-    }
-
-    fn flush_committed(&self, cost: &FrameCost) {
-        self.frames.incr();
-        self.transfers.add(cost.transfers);
-        self.cfg_edges.add(cost.cfg_edges);
-        self.calls_resolved.add(cost.resolved);
-        self.calls_unresolved.add(cost.unresolved);
-        self.hist_transfers.record(cost.transfers);
-        self.hist_repasses
-            .record(cost.transfers.saturating_sub(cost.visited));
-    }
-
-    fn flush_speculative(&self, cost: &FrameCost) {
-        self.spec_frames.incr();
-        self.spec_transfers.add(cost.transfers);
-    }
-}
-
-/// Plain-cell tallies of one [`WriteBehind`]'s traffic, for the engine's
-/// per-run statistics (recorded even when the recorder is disabled, as in
-/// timed bench runs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WriteBehindStats {
-    /// Shard-grouped batch publications performed.
-    pub flushes: u64,
-    /// Lookups served from the worker-local buffer (pending writes plus
-    /// the read-through cache) without touching a shard lock.
-    pub deferred_hits: u64,
-    /// Buffered summaries that won their batched insert (entered the
-    /// shared store).
-    pub published: u64,
-}
-
-/// A per-worker write-behind façade over a [`SharedStore`].
-///
-/// Reads go worker-local-first: a summary this worker computed (still
-/// buffered or already flushed) or previously fetched is returned without
-/// touching a shard lock — sound because clean summaries are pure
-/// functions of their key, so a stale-looking local copy can never differ
-/// from the shared one. Writes accumulate in a local buffer and publish
-/// through [`SharedStore::insert_batch`] in shard-grouped flushes (one
-/// lock acquisition per touched shard per flush); the frame-commit
-/// decision for each buffered summary — committed vs speculative — is
-/// deferred with it and settled by the batched insert's newness, so
-/// exactly one committed flush still happens globally per unique memo key
-/// and the deterministic stats sections remain byte-identical to direct
-/// publication at any worker count.
-///
-/// Not `Sync`: one instance per worker thread, dropped (after a final
-/// [`flush`]) when the worker retires.
-///
-/// [`flush`]: WriteBehind::flush
-pub struct WriteBehind<'s, P: PolicyDomain> {
-    shared: &'s SharedStore<P>,
-    local: RefCell<HashMap<MemoKey<P>, Arc<Summary<P>>>>,
-    pending: RefCell<Vec<(StoreEntry<P>, FrameCost)>>,
-    /// Pending entries beyond this overflow into an inline flush, bounding
-    /// the buffer between the engine's batch-boundary flushes.
-    capacity: usize,
-    obs: WriteBehindObs,
-    flushes: Cell<u64>,
-    deferred_hits: Cell<u64>,
-    published: Cell<u64>,
-}
-
-impl<'s, P: PolicyDomain> WriteBehind<'s, P> {
-    /// Buffered summaries beyond this many trigger an inline flush.
-    pub const DEFAULT_CAPACITY: usize = 128;
-
-    /// Wraps `shared` for one worker, flushing deferred frame metrics
-    /// into `rec` (the worker's private child recorder, in the engine).
-    pub fn new(shared: &'s SharedStore<P>, rec: &Recorder) -> Self {
-        WriteBehind {
-            shared,
-            local: RefCell::new(HashMap::new()),
-            pending: RefCell::new(Vec::new()),
-            capacity: Self::DEFAULT_CAPACITY,
-            obs: WriteBehindObs::new(rec),
-            flushes: Cell::new(0),
-            deferred_hits: Cell::new(0),
-            published: Cell::new(0),
-        }
-    }
-
-    /// Publishes every pending summary in one shard-grouped batch and
-    /// settles each one's deferred commit decision. No-op when nothing is
-    /// pending.
-    pub fn flush(&self) {
-        let pending = std::mem::take(&mut *self.pending.borrow_mut());
-        if pending.is_empty() {
-            return;
-        }
-        let count = pending.len();
-        let entries = pending
-            .iter()
-            .map(|((key, summary), _)| (key.clone(), Arc::clone(summary)))
-            .collect();
-        let newness = self.shared.insert_batch(entries);
-        let mut published = 0u64;
-        for ((_, cost), new) in pending.iter().zip(newness) {
-            if new {
-                published += 1;
-                self.obs.flush_committed(cost);
-            } else {
-                self.obs.flush_speculative(cost);
-            }
-        }
-        self.flushes.set(self.flushes.get() + 1);
-        self.published.set(self.published.get() + published);
-        self.obs.flushes.incr();
-        trace::counter_now("writeback.flush", "store", count as u64);
-    }
-
-    /// This worker's write-behind traffic so far.
-    pub fn stats(&self) -> WriteBehindStats {
-        WriteBehindStats {
-            flushes: self.flushes.get(),
-            deferred_hits: self.deferred_hits.get(),
-            published: self.published.get(),
-        }
-    }
-}
-
-impl<'s, P: PolicyDomain> SummaryStore<P> for WriteBehind<'s, P> {
-    fn get(&self, key: &MemoKey<P>) -> Option<Arc<Summary<P>>> {
-        if let Some(hit) = self.local.borrow().get(key) {
-            self.deferred_hits.set(self.deferred_hits.get() + 1);
-            self.obs.deferred_hits.incr();
-            return Some(Arc::clone(hit));
-        }
-        let hit = self.shared.get(key)?;
-        self.local
-            .borrow_mut()
-            .insert(key.clone(), Arc::clone(&hit));
-        Some(hit)
-    }
-
-    fn insert(&self, key: MemoKey<P>, summary: Arc<Summary<P>>) -> bool {
-        // Uncosted inserts pass straight through: the caller settles the
-        // commit protocol on the return value immediately, so deferring
-        // here would double-count the frame at flush time. Reads still
-        // benefit from the local cache.
-        self.local
-            .borrow_mut()
-            .insert(key.clone(), Arc::clone(&summary));
-        self.shared.insert(key, summary)
-    }
-
-    fn insert_costed(
-        &self,
-        key: MemoKey<P>,
-        summary: Arc<Summary<P>>,
-        cost: FrameCost,
-    ) -> Option<bool> {
-        match self.local.borrow_mut().entry(key.clone()) {
-            std::collections::hash_map::Entry::Occupied(_) => return Some(false),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Arc::clone(&summary));
-            }
-        }
-        self.pending.borrow_mut().push(((key, summary), cost));
-        if self.pending.borrow().len() >= self.capacity {
-            self.flush();
-        }
-        None
-    }
-
-    fn clear(&self) {
-        self.local.borrow_mut().clear();
-        self.pending.borrow_mut().clear();
-        self.shared.clear();
-    }
-
-    fn len(&self) -> usize {
-        // Unflushed summaries are part of this store's view.
-        let shared = self.shared.len();
-        let unflushed = self.pending.borrow().len();
-        shared + unflushed
     }
 }
 
@@ -698,117 +377,6 @@ mod tests {
             eprintln!("round {round}: no contention observed, retrying");
         }
         panic!("no contention observed in 20 rounds of concurrent access");
-    }
-
-    #[test]
-    fn insert_batch_locks_once_per_shard_and_reports_newness_in_order() {
-        let store: SharedStore<Dnf> = SharedStore::new(4);
-        store.insert(key(2), summary());
-        let newness = store.insert_batch(vec![
-            (key(1), summary()),
-            (key(2), summary()), // loses to the direct insert above
-            (key(3), summary()),
-            (key(3), summary()), // duplicate within the batch: first wins
-        ]);
-        assert_eq!(newness, vec![true, false, true, false]);
-        assert_eq!(store.len(), 3);
-        // A batch into a single-shard store acquires its one lock once.
-        let one: SharedStore<Dnf> = SharedStore::new(1);
-        let newness = one.insert_batch((0..100).map(|i| (key(i), summary())).collect());
-        assert!(newness.iter().all(|&n| n));
-        assert_eq!(one.len(), 100);
-    }
-
-    #[test]
-    fn write_behind_defers_publication_until_flush() {
-        let rec = spo_obs::Recorder::new();
-        let shared: SharedStore<Dnf> = SharedStore::new(4);
-        let wb = WriteBehind::new(&shared, &rec);
-        let cost = FrameCost {
-            transfers: 7,
-            visited: 5,
-            cfg_edges: 3,
-            resolved: 2,
-            unresolved: 1,
-        };
-        assert_eq!(wb.insert_costed(key(1), summary(), cost), None);
-        assert_eq!(wb.insert_costed(key(2), summary(), cost), None);
-        // Deferred writes are visible to this worker, invisible to others.
-        assert!(wb.get(&key(1)).is_some());
-        use crate::SummaryStore as _;
-        assert_eq!(shared.len(), 0);
-        assert_eq!(wb.stats().deferred_hits, 1);
-
-        wb.flush();
-        assert_eq!(shared.len(), 2);
-        let stats = wb.stats();
-        assert_eq!(stats.flushes, 1);
-        assert_eq!(stats.published, 2);
-        // Both frames committed at flush under the ISPA counter names.
-        let snap = rec.snapshot();
-        assert_eq!(snap.counters["ispa.frames"], 2);
-        assert_eq!(snap.counters["dataflow.transfers"], 14);
-        assert_eq!(snap.work["writeback.flushes"], 1);
-        assert_eq!(snap.work["writeback.deferred_hits"], 1);
-
-        // A second flush with nothing pending is a no-op.
-        wb.flush();
-        assert_eq!(wb.stats().flushes, 1);
-    }
-
-    #[test]
-    fn write_behind_race_loser_flushes_speculative() {
-        let rec_a = spo_obs::Recorder::new();
-        let rec_b = spo_obs::Recorder::new();
-        let shared: SharedStore<Dnf> = SharedStore::new(4);
-        let a = WriteBehind::new(&shared, &rec_a);
-        let b = WriteBehind::new(&shared, &rec_b);
-        let cost = FrameCost {
-            transfers: 5,
-            ..Default::default()
-        };
-        assert_eq!(a.insert_costed(key(1), summary(), cost), None);
-        assert_eq!(b.insert_costed(key(1), summary(), cost), None);
-        a.flush();
-        b.flush();
-        // Exactly one committed flush globally for the shared key …
-        let (sa, sb) = (rec_a.snapshot(), rec_b.snapshot());
-        assert_eq!(sa.counters["ispa.frames"], 1);
-        assert_eq!(sb.counters["ispa.frames"], 0);
-        // … and the loser's copy lands in the speculative work counters.
-        assert_eq!(sb.work["ispa.speculative.frames"], 1);
-        assert_eq!(sb.work["ispa.speculative.transfers"], 5);
-        assert_eq!(shared.len(), 1);
-        assert_eq!(a.stats().published, 1);
-        assert_eq!(b.stats().published, 0);
-    }
-
-    #[test]
-    fn write_behind_read_through_caches_shared_hits() {
-        let rec = spo_obs::Recorder::new();
-        let shared: SharedStore<Dnf> = SharedStore::new(4);
-        shared.insert(key(1), summary());
-        let wb = WriteBehind::new(&shared, &rec);
-        assert!(wb.get(&key(1)).is_some());
-        assert!(wb.get(&key(1)).is_some());
-        // First read hit the shared shard; the repeat was absorbed
-        // locally.
-        let shard_hits: u64 = shared.shard_stats().iter().map(|s| s.hits).sum();
-        assert_eq!(shard_hits, 1);
-        assert_eq!(wb.stats().deferred_hits, 1);
-    }
-
-    #[test]
-    fn write_behind_overflows_into_inline_flush() {
-        let rec = spo_obs::Recorder::new();
-        let shared: SharedStore<Dnf> = SharedStore::new(4);
-        let wb = WriteBehind::new(&shared, &rec);
-        for i in 0..WriteBehind::<Dnf>::DEFAULT_CAPACITY as u32 {
-            wb.insert_costed(key(i), summary(), FrameCost::default());
-        }
-        use crate::SummaryStore as _;
-        assert_eq!(wb.stats().flushes, 1, "capacity overflow flushes inline");
-        assert_eq!(shared.len(), WriteBehind::<Dnf>::DEFAULT_CAPACITY);
     }
 
     #[test]

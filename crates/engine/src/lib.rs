@@ -2,11 +2,11 @@
 //!
 //! The policy analysis is embarrassingly parallel across API entry points:
 //! each root's MAY/MUST passes only read the program and the shared memo
-//! table. This crate drives one library's entry points across N
-//! work-stealing workers backed by a sharded concurrent
-//! [`SharedStore`], then merges the per-root policies **in root order** so
-//! the result is byte-identical to the serial analyzer no matter the
-//! thread count.
+//! table. This crate drives one library's entry points across N workers
+//! that pull roots from one shared cursor and publish clean summaries
+//! straight into a sharded concurrent [`SharedStore`], then merges the
+//! per-root policies **in root order** so the result is byte-identical to
+//! the serial analyzer no matter the thread count.
 //!
 //! ## Why parallel results equal serial results
 //!
@@ -43,13 +43,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod schedule;
-
 use spo_cache::{CacheKeyer, ContentTable, PolicyCache};
 use spo_core::{
     diff_libraries, group_differences, root_keys, AnalysisOptions, AnalysisStats, Analyzer,
     DiffResult, EntryPolicy, LibraryPolicies, LocalStore, MemoScope, ReportGroup, ShardStats,
-    SharedStore, WriteBehind, DEFAULT_SHARDS,
+    SharedStore,
 };
 use spo_dataflow::{Dnf, MustSet};
 use spo_guard::{quarantine, Diagnostic, Fault, GuardConfig};
@@ -57,8 +55,7 @@ use spo_jir::{method_identity_hash, MethodId, Program};
 use spo_obs::trace::{self, TraceLane, Tracer};
 use spo_obs::{HistSnapshot, Recorder};
 use spo_resolve::entry_points;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -72,20 +69,6 @@ pub struct EngineStats {
     /// Analysis counters summed over all workers (frames, memo hits and
     /// misses, unresolved calls, per-pass CPU time).
     pub analysis: AnalysisStats,
-    /// Roots taken from another worker's deque (every root of a stolen
-    /// batch counts).
-    pub steals: u64,
-    /// Whole batches taken from another worker's deque — the steal
-    /// granularity, alongside the per-root `steals`.
-    pub batches_stolen: u64,
-    /// Cone-overlap batches formed by the scheduler for this run.
-    pub batches_formed: u64,
-    /// Shard-grouped write-behind publications performed across all
-    /// workers (0 with direct publication or non-global memo scopes).
-    pub writeback_flushes: u64,
-    /// Lookups served from a worker-local write-behind buffer without
-    /// touching a shard lock.
-    pub writeback_deferred_hits: u64,
     /// Per-shard counters of the MAY-pass summary store (empty unless the
     /// memo scope was [`MemoScope::Global`]).
     pub may_shards: Vec<ShardStats>,
@@ -131,11 +114,6 @@ impl EngineStats {
         self.workers = self.workers.max(other.workers);
         self.entry_points += other.entry_points;
         self.analysis.absorb(&other.analysis);
-        self.steals += other.steals;
-        self.batches_stolen += other.batches_stolen;
-        self.batches_formed += other.batches_formed;
-        self.writeback_flushes += other.writeback_flushes;
-        self.writeback_deferred_hits += other.writeback_deferred_hits;
         self.wall_nanos += other.wall_nanos;
         self.roots_degraded += other.roots_degraded;
         self.cache_hits += other.cache_hits;
@@ -162,13 +140,12 @@ impl std::fmt::Display for EngineStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} workers, {} entry points, {} frames, {} memo hits, {} steals, \
-             {} contended, wall {:.1}ms",
+            "{} workers, {} entry points, {} frames, {} memo hits, {} contended, \
+             wall {:.1}ms",
             self.workers,
             self.entry_points,
             self.analysis.frames_analyzed,
             self.analysis.memo_hits,
-            self.steals,
             self.contended(),
             self.wall_nanos as f64 / 1e6,
         )
@@ -210,8 +187,6 @@ pub struct ComparisonSet {
 #[derive(Clone, Debug)]
 pub struct AnalysisEngine {
     jobs: usize,
-    shards: usize,
-    publication: Publication,
     recorder: Recorder,
     tracer: Tracer,
     guard: GuardConfig,
@@ -219,49 +194,6 @@ pub struct AnalysisEngine {
     resident: Option<Arc<ResidentStore>>,
     chaos: spo_chaos::FaultPlan,
 }
-
-/// How workers publish freshly computed summaries to the shared store
-/// (global memo scope only; other scopes never share).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Publication {
-    /// Every clean summary is inserted into its shard as it is computed —
-    /// one lock acquisition per summary. The pre-batching behavior, kept
-    /// as the bench baseline for the write-behind lock-wait comparison.
-    Direct,
-    /// Workers buffer summaries locally and publish in shard-grouped
-    /// batches at batch boundaries (one lock acquisition per touched
-    /// shard per flush), reading through the local buffer first. Results
-    /// and deterministic stats are byte-identical to [`Direct`] — see
-    /// [`WriteBehind`].
-    #[default]
-    WriteBehind,
-}
-
-/// The error [`AnalysisEngine::with_shards`] returns when the requested
-/// shard count disagrees with an attached [`ResidentStore`]'s: the
-/// resident pair was already built with its own stripe count, so silently
-/// keeping either value would make the engine's stats and the store's
-/// layout lie about each other.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ShardMismatch {
-    /// The shard count passed to `with_shards`.
-    pub requested: usize,
-    /// The attached resident store's shard count.
-    pub resident: usize,
-}
-
-impl std::fmt::Display for ShardMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "requested {} summary-store shards but the attached resident store has {}; \
-             drop the resident store or build it with the matching shard count",
-            self.requested, self.resident
-        )
-    }
-}
-
-impl std::error::Error for ShardMismatch {}
 
 /// A MAY/MUST summary-store pair that outlives a single engine run, so a
 /// resident process (the `spo serve` daemon) can re-enter the analysis
@@ -289,32 +221,22 @@ impl std::fmt::Debug for ResidentStore {
 }
 
 impl ResidentStore {
-    /// A fresh, empty resident pair with `shards` shards per store.
-    pub fn new(shards: usize) -> ResidentStore {
-        let shards = shards.max(1);
-        ResidentStore {
-            may: SharedStore::new(shards),
-            must: SharedStore::new(shards),
-        }
-    }
-
     /// Number of memoized summaries currently held (both passes).
     pub fn summaries(&self) -> usize {
         use spo_core::SummaryStore as _;
         self.may.len() + self.must.len()
     }
-
-    /// Lock stripes per store.
-    pub fn shard_count(&self) -> usize {
-        self.may.shard_count()
-    }
 }
 
 impl Default for ResidentStore {
-    /// Matches the engine's default shard count ([`DEFAULT_SHARDS`] —
-    /// one constant, shared with [`SharedStore::default`]).
+    /// A fresh, empty pair with [`DEFAULT_SHARDS`](spo_core::DEFAULT_SHARDS)
+    /// stripes per store — the same layout as the pair a run without a
+    /// resident store builds.
     fn default() -> ResidentStore {
-        ResidentStore::new(DEFAULT_SHARDS)
+        ResidentStore {
+            may: SharedStore::default(),
+            must: SharedStore::default(),
+        }
     }
 }
 
@@ -331,8 +253,6 @@ impl AnalysisEngine {
     pub fn new(jobs: usize) -> Self {
         AnalysisEngine {
             jobs,
-            shards: DEFAULT_SHARDS,
-            publication: Publication::default(),
             recorder: Recorder::disabled(),
             tracer: Tracer::disabled(),
             guard: GuardConfig::default(),
@@ -347,7 +267,7 @@ impl AnalysisEngine {
     /// Replaces the fault plan captured from the process-wide `spo-chaos`
     /// plan at construction (tests arm a plan without touching the
     /// global). Worker-loop fault sites are keyed by root signature, so
-    /// which roots fail is independent of work-stealing order.
+    /// which roots fail is independent of which worker claims which root.
     pub fn with_fault_plan(mut self, plan: spo_chaos::FaultPlan) -> Self {
         self.chaos = plan;
         self
@@ -360,10 +280,6 @@ impl AnalysisEngine {
     /// discipline documented on [`ResidentStore`] — one store per
     /// (program, options) pairing. Other memo scopes ignore it.
     pub fn with_resident(mut self, resident: Arc<ResidentStore>) -> Self {
-        // The resident pair's layout is fixed at its construction; the
-        // engine adopts it so the two can never drift apart. A later
-        // `with_shards` with a different count is a validated error.
-        self.shards = resident.shard_count();
         self.resident = Some(resident);
         self
     }
@@ -403,33 +319,6 @@ impl AnalysisEngine {
     /// The attached guard configuration (inert unless set).
     pub fn guard(&self) -> &GuardConfig {
         &self.guard
-    }
-
-    /// Overrides the number of summary-store shards (default
-    /// [`DEFAULT_SHARDS`]). With a [`ResidentStore`] attached the store
-    /// layout is already fixed, so any *different* count is a
-    /// [`ShardMismatch`] error instead of a silent disagreement between
-    /// the engine's bookkeeping and the store it actually uses.
-    pub fn with_shards(mut self, shards: usize) -> Result<Self, ShardMismatch> {
-        let shards = shards.max(1);
-        if let Some(resident) = &self.resident {
-            if resident.shard_count() != shards {
-                return Err(ShardMismatch {
-                    requested: shards,
-                    resident: resident.shard_count(),
-                });
-            }
-        }
-        self.shards = shards;
-        Ok(self)
-    }
-
-    /// Selects the summary publication mode (default
-    /// [`Publication::WriteBehind`]). [`Publication::Direct`] is the
-    /// per-summary baseline the bench sweep measures lock waits against.
-    pub fn with_publication(mut self, publication: Publication) -> Self {
-        self.publication = publication;
-        self
     }
 
     /// Attaches an observability recorder. Each worker records into a
@@ -551,7 +440,7 @@ impl AnalysisEngine {
         // [`ResidentStore`] for the keying discipline this relies on).
         let owned: Option<(SharedStore<Dnf>, SharedStore<MustSet>)> =
             (options.memo == MemoScope::Global && self.resident.is_none())
-                .then(|| (SharedStore::new(self.shards), SharedStore::new(self.shards)));
+                .then(|| (SharedStore::default(), SharedStore::default()));
         let shared: Option<(&SharedStore<Dnf>, &SharedStore<MustSet>)> = match &self.resident {
             Some(r) if options.memo == MemoScope::Global => Some((&r.may, &r.must)),
             _ => owned.as_ref().map(|(may, must)| (may, must)),
@@ -560,20 +449,14 @@ impl AnalysisEngine {
         // so this run's stats report only its own traffic.
         let shards_before = shared.map(|(may, must)| (may.shard_stats(), must.shard_stats()));
 
-        // Cone-batched scheduling: roots sharing callees are grouped into
-        // batches owned by one worker (their memo hits stay in that
-        // worker's write-behind buffer), deepest cones dealt first so the
-        // call graph's bottom is flushed to the shared store before the
-        // shallow tail needs it. Stealing moves whole batches from the
-        // victim's back — the shallowest, least locality-valuable end.
-        let plan = schedule::plan(program, roots, &work, workers);
-        let batches_formed = plan.formed;
-        let deques: Vec<Mutex<VecDeque<Vec<usize>>>> =
-            plan.deques.into_iter().map(Mutex::new).collect();
-        let steals = AtomicU64::new(0);
-        let batches_stolen = AtomicU64::new(0);
-        let wb_flushes = AtomicU64::new(0);
-        let wb_deferred_hits = AtomicU64::new(0);
+        // One shared cursor over the work list: each worker claims the next
+        // root with a single `fetch_add` until the list runs out. Clean
+        // summaries go straight into the shared pair as they are computed,
+        // so a root claimed later by any worker can hit them. Root order
+        // and placement only move wall-clock time; results and the
+        // deterministic stats are fixed by the merge and the frame-commit
+        // protocol.
+        let cursor = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, String, EntryPolicy, AnalysisStats)>> =
             Mutex::new(Vec::with_capacity(roots.len()));
         let faults: Mutex<Vec<(usize, String, Fault)>> = Mutex::new(Vec::new());
@@ -597,123 +480,77 @@ impl AnalysisEngine {
         std::thread::scope(|s| {
             for (w, rec) in worker_recs.iter().enumerate() {
                 let analyzer = &analyzer;
-                let deques = &deques;
-                let steals = &steals;
+                let work = &work;
+                let cursor = &cursor;
                 let results = &results;
                 let faults = &faults;
                 let guard = &self.guard;
                 let chaos = &self.chaos;
-                let lanes = &worker_lanes;
-                let publication = self.publication;
-                let batches_stolen = &batches_stolen;
-                let wb_flushes = &wb_flushes;
-                let wb_deferred_hits = &wb_deferred_hits;
+                let lane = &worker_lanes[w];
                 s.spawn(move || {
-                    let _lane_bound = trace::bind(&lanes[w]);
+                    let _lane_bound = trace::bind(lane);
                     let worker_roots = rec.work_counter(&format!("engine.worker{w:02}.roots"));
                     let mut local: Vec<(usize, String, EntryPolicy, AnalysisStats)> = Vec::new();
                     let mut local_faults: Vec<(usize, String, Fault)> = Vec::new();
-                    // Write-behind façades over the shared pair: reads go
-                    // through this worker's buffer first, writes publish
-                    // in shard-grouped flushes at batch boundaries.
-                    let wb = (publication == Publication::WriteBehind)
-                        .then_some(shared)
-                        .flatten()
-                        .map(|(may, must)| {
-                            (WriteBehind::new(may, rec), WriteBehind::new(must, rec))
-                        });
-                    let run_root =
-                        |idx: usize,
-                         local: &mut Vec<(usize, String, EntryPolicy, AnalysisStats)>,
-                         local_faults: &mut Vec<(usize, String, Fault)>| {
-                            worker_roots.incr();
-                            let sig = program.method_signature(roots[idx]);
-                            // One complete event per root, named by its
-                            // signature — the per-root cost timeline.
-                            let _root_span = lanes[w].span(&sig, "root");
-                            let mut stats = AnalysisStats::default();
-                            // Fault-isolation boundary: a panic, budget trip, or
-                            // observed cancellation inside this root degrades
-                            // this root alone. Once a run is cancelled, roots
-                            // not yet started drain through the governor's
-                            // first check point, so the pool joins promptly.
-                            let governor = guard.governor();
-                            let outcome = quarantine(|| {
-                                guard.maybe_inject(&sig);
-                                // Chaos fault sites, keyed by root signature so
-                                // the set of perturbed roots is a pure function
-                                // of the plan seed under any work-stealing
-                                // interleaving. The panic is quarantined like
-                                // any real one: this root degrades, the rest
-                                // are byte-identical to a clean run.
-                                if chaos
-                                    .should_fire_keyed(spo_chaos::sites::ENGINE_ROOT_DELAY, &sig)
-                                {
-                                    std::thread::sleep(std::time::Duration::from_millis(
-                                        1 + chaos.amount(spo_chaos::sites::ENGINE_ROOT_DELAY, 20),
-                                    ));
-                                }
-                                if chaos
-                                    .should_fire_keyed(spo_chaos::sites::ENGINE_ROOT_PANIC, &sig)
-                                {
-                                    panic!("chaos: injected fault at engine.root.panic for {sig}");
-                                }
-                                governor.check_point();
-                                match (&wb, shared) {
-                                    (Some((may, must)), _) => analyzer.analyze_root_governed(
-                                        roots[idx], may, must, &mut stats, rec, &governor,
-                                    ),
-                                    (None, Some((may, must))) => analyzer.analyze_root_governed(
-                                        roots[idx], may, must, &mut stats, rec, &governor,
-                                    ),
-                                    (None, None) => {
-                                        let may = LocalStore::default();
-                                        let must = LocalStore::default();
-                                        analyzer.analyze_root_governed(
-                                            roots[idx], &may, &must, &mut stats, rec, &governor,
-                                        )
-                                    }
-                                }
-                            });
-                            match outcome {
-                                // The quarantined root's partial stats are
-                                // dropped so the surviving roots' totals match
-                                // a clean run restricted to them. Clean
-                                // summaries its subtree completed stay
-                                // buffered: they are pure functions of their
-                                // keys, exactly as valid as under direct
-                                // publication.
-                                Ok((sig, entry)) => local.push((idx, sig, entry, stats)),
-                                Err(fault) => local_faults.push((idx, sig, fault)),
+                    while let Some(&idx) = work.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        worker_roots.incr();
+                        let sig = program.method_signature(roots[idx]);
+                        // One complete event per root, named by its
+                        // signature — the per-root cost timeline.
+                        let _root_span = lane.span(&sig, "root");
+                        let mut stats = AnalysisStats::default();
+                        // Fault-isolation boundary: a panic, budget trip, or
+                        // observed cancellation inside this root degrades
+                        // this root alone. Once a run is cancelled, roots
+                        // not yet started drain through the governor's
+                        // first check point, so the pool joins promptly.
+                        let governor = guard.governor();
+                        let outcome = quarantine(|| {
+                            guard.maybe_inject(&sig);
+                            // Chaos fault sites, keyed by root signature so
+                            // the set of perturbed roots is a pure function
+                            // of the plan seed whichever worker claims them.
+                            // The panic is quarantined like any real one:
+                            // this root degrades, the rest are
+                            // byte-identical to a clean run.
+                            if chaos.should_fire_keyed(spo_chaos::sites::ENGINE_ROOT_DELAY, &sig) {
+                                std::thread::sleep(std::time::Duration::from_millis(
+                                    1 + chaos.amount(spo_chaos::sites::ENGINE_ROOT_DELAY, 20),
+                                ));
                             }
-                        };
-                    while let Some(batch) = next_batch(w, deques, steals, batches_stolen) {
-                        let _batch_span =
-                            lanes[w].span(&format!("batch ({} roots)", batch.len()), "batch");
-                        for idx in batch {
-                            run_root(idx, &mut local, &mut local_faults);
-                        }
-                        // Batch boundary: publish everything the batch
-                        // buffered so other workers' cones can hit it.
-                        if let Some((may, must)) = &wb {
-                            may.flush();
-                            must.flush();
+                            if chaos.should_fire_keyed(spo_chaos::sites::ENGINE_ROOT_PANIC, &sig) {
+                                panic!("chaos: injected fault at engine.root.panic for {sig}");
+                            }
+                            governor.check_point();
+                            match shared {
+                                Some((may, must)) => analyzer.analyze_root_governed(
+                                    roots[idx], may, must, &mut stats, rec, &governor,
+                                ),
+                                None => {
+                                    let may = LocalStore::default();
+                                    let must = LocalStore::default();
+                                    analyzer.analyze_root_governed(
+                                        roots[idx], &may, &must, &mut stats, rec, &governor,
+                                    )
+                                }
+                            }
+                        });
+                        match outcome {
+                            // The quarantined root's partial stats are
+                            // dropped so the surviving roots' totals match
+                            // a clean run restricted to them. Clean
+                            // summaries its subtree completed stay in the
+                            // store: they are pure functions of their keys.
+                            Ok((sig, entry)) => local.push((idx, sig, entry, stats)),
+                            Err(fault) => local_faults.push((idx, sig, fault)),
                         }
                     }
-                    if let Some((may, must)) = &wb {
-                        may.flush();
-                        must.flush();
-                        let (a, b) = (may.stats(), must.stats());
-                        wb_flushes.fetch_add(a.flushes + b.flushes, Ordering::Relaxed);
-                        wb_deferred_hits
-                            .fetch_add(a.deferred_hits + b.deferred_hits, Ordering::Relaxed);
-                    }
-                    // Batch commit, itself quarantined, with poisoned-lock
-                    // recovery: a panic that unwinds while a sibling held a
-                    // shared mutex must not cascade into a whole-run abort
-                    // — the data under the lock is a plain Vec whose
-                    // invariants hold at every await-free push, so the
-                    // poison flag carries no information here.
+                    // Per-worker commit, itself quarantined, with
+                    // poisoned-lock recovery: a panic that unwinds while a
+                    // sibling held a shared mutex must not cascade into a
+                    // whole-run abort — the data under the lock is a plain
+                    // Vec whose invariants hold at every await-free push,
+                    // so the poison flag carries no information here.
                     let commit = quarantine(|| {
                         let mut shared_results = results.lock().unwrap_or_else(|e| e.into_inner());
                         guard.maybe_inject_append(local.iter().map(|(_, sig, ..)| sig.as_str()));
@@ -725,8 +562,9 @@ impl AnalysisEngine {
                             .append(&mut local_faults);
                     });
                     if let Err(fault) = commit {
-                        // The batch never landed; account for every root in
-                        // it as degraded so none silently disappears.
+                        // The worker's results never landed; account for
+                        // every root in them as degraded so none silently
+                        // disappears.
                         let mut lost: Vec<(usize, String, Fault)> = local
                             .drain(..)
                             .map(|(idx, sig, ..)| (idx, sig, fault.clone()))
@@ -809,11 +647,6 @@ impl AnalysisEngine {
             } else {
                 0
             },
-            steals: steals.into_inner(),
-            batches_stolen: batches_stolen.into_inner(),
-            batches_formed,
-            writeback_flushes: wb_flushes.into_inner(),
-            writeback_deferred_hits: wb_deferred_hits.into_inner(),
             may_shards: shared
                 .zip(shards_before.as_ref())
                 .map(|((m, _), (before, _))| shard_delta(m.shard_stats(), before))
@@ -875,10 +708,6 @@ impl AnalysisEngine {
         rec.work_counter("engine.workers").add(stats.workers as u64);
         rec.work_counter("engine.roots")
             .add(stats.entry_points as u64);
-        rec.work_counter("engine.steals").add(stats.steals);
-        rec.work_counter("engine.batches_stolen")
-            .add(stats.batches_stolen);
-        rec.work_counter("batch.formed").add(stats.batches_formed);
         rec.work_counter("guard.roots_degraded")
             .add(stats.roots_degraded);
         for (prefix, shards) in [
@@ -976,44 +805,6 @@ fn shard_delta(after: Vec<ShardStats>, before: &[ShardStats]) -> Vec<ShardStats>
         .collect()
 }
 
-/// Pops the next batch for worker `w`: front of its own deque, else a
-/// whole batch stolen from the back of the first non-empty victim (the
-/// shallowest-cone end — the least locality-valuable work it holds).
-///
-/// Poisoned deques are recovered, not propagated: a panic that unwinds
-/// while a sibling held the lock (possible only between two complete
-/// pop/push operations on the plain `VecDeque`) leaves the queue in a
-/// valid state, and every worker unwrapping the poison would cascade one
-/// quarantined fault into a whole-run abort.
-fn next_batch(
-    w: usize,
-    deques: &[Mutex<VecDeque<Vec<usize>>>],
-    steals: &AtomicU64,
-    batches_stolen: &AtomicU64,
-) -> Option<Vec<usize>> {
-    if let Some(batch) = deques[w]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .pop_front()
-    {
-        return Some(batch);
-    }
-    for off in 1..deques.len() {
-        let victim = (w + off) % deques.len();
-        if let Some(batch) = deques[victim]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_back()
-        {
-            steals.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            batches_stolen.fetch_add(1, Ordering::Relaxed);
-            trace::instant_now("steal", "engine");
-            return Some(batch);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1065,7 +856,7 @@ class t.A {
         let options = AnalysisOptions::default();
         let (cold, _) = AnalysisEngine::new(2).analyze_library(&program, "t", options);
 
-        let resident = Arc::new(ResidentStore::new(4));
+        let resident = Arc::new(ResidentStore::default());
         let engine = AnalysisEngine::new(2).with_resident(Arc::clone(&resident));
         let (first, s1) = engine.analyze_library(&program, "t", options);
         assert_eq!(first.entries, cold.entries);
@@ -1124,54 +915,38 @@ class t.A {
         }
     }
 
-    #[test]
-    fn cone_batching_keeps_shared_reuse_worker_local() {
-        let program = sample_program();
-        let (_, stats) =
-            AnalysisEngine::new(2).analyze_library(&program, "t", AnalysisOptions::default());
-        // `t.A.shared` is reached from both entry points with the same
-        // context. Cone batching places both roots in one batch, so the
-        // second analysis hits the first's write-behind buffer instead of
-        // paying a shared-store lock.
-        assert!(stats.analysis.memo_hits > 0, "{stats}");
-        assert!(stats.batches_formed > 0, "{stats}");
-        assert!(stats.writeback_deferred_hits > 0, "{stats}");
-        assert!(stats.writeback_flushes > 0, "{stats}");
-        // The buffered summaries still reach the shared store at flush.
-        let entries: usize = stats.may_shards.iter().map(|s| s.entries).sum();
-        assert!(entries > 0, "{stats}");
+    /// `roots` public entry points that all call one private helper in the
+    /// same context.
+    fn fan_in_program(roots: usize) -> Program {
+        let mut text = String::from("class t.F {\n");
+        for i in 0..roots {
+            text +=
+                &format!("method public void e{i}() {{ staticinvoke t.F.shared(); return; }}\n");
+        }
+        text += "method private static void shared() { staticinvoke t.F.op0(); return; }\n";
+        text += "method private static native void op0();\n}\n";
+        spo_jir::parse_program(&text).unwrap()
     }
 
     #[test]
-    fn direct_publication_still_records_shard_hits() {
-        let program = sample_program();
-        let (_, stats) = AnalysisEngine::new(1)
-            .with_publication(Publication::Direct)
-            .analyze_library(&program, "t", AnalysisOptions::default());
-        // The bench baseline bypasses write-behind: every memo probe and
-        // publication goes straight to the shared store.
-        assert!(stats.analysis.memo_hits > 0, "{stats}");
-        let shard_hits: u64 = stats.may_shards.iter().map(|s| s.hits).sum();
-        assert!(shard_hits > 0, "{stats}");
-        assert_eq!(stats.writeback_flushes, 0, "{stats}");
-        assert_eq!(stats.writeback_deferred_hits, 0, "{stats}");
-    }
-
-    #[test]
-    fn with_shards_rejects_mismatch_against_attached_resident() {
-        let resident = Arc::new(ResidentStore::default());
-        let err = AnalysisEngine::new(2)
-            .with_resident(Arc::clone(&resident))
-            .with_shards(DEFAULT_SHARDS + 1)
-            .unwrap_err();
-        assert_eq!(err.requested, DEFAULT_SHARDS + 1);
-        assert_eq!(err.resident, DEFAULT_SHARDS);
-        // Matching counts (and detached engines) stay accepted.
-        AnalysisEngine::new(2)
-            .with_resident(resident)
-            .with_shards(DEFAULT_SHARDS)
-            .expect("matching shard count");
-        AnalysisEngine::new(2).with_shards(4).expect("no resident");
+    fn direct_publication_shares_summaries_through_the_store() {
+        // More roots than workers, all reaching `t.F.shared` in one
+        // context: some worker runs two of them, and its second lookup
+        // finds the summary already published, whatever the timing.
+        let program = fan_in_program(9);
+        for jobs in [1, 2, 8] {
+            let (_, stats) = AnalysisEngine::new(jobs).analyze_library(
+                &program,
+                "t",
+                AnalysisOptions::default(),
+            );
+            assert_eq!(stats.entry_points, 9, "{stats}");
+            assert!(stats.analysis.memo_hits > 0, "jobs {jobs}: {stats}");
+            let shard_hits: u64 = stats.may_shards.iter().map(|s| s.hits).sum();
+            assert!(shard_hits > 0, "jobs {jobs}: {stats}");
+            let entries: usize = stats.may_shards.iter().map(|s| s.entries).sum();
+            assert!(entries > 0, "jobs {jobs}: {stats}");
+        }
     }
 
     #[test]
@@ -1312,7 +1087,7 @@ class t.A {
             failed_sets.push(lib.degraded.keys().cloned().collect());
         }
         // Signature keying makes the failed set a pure function of the
-        // seed — identical across worker counts and steal orders.
+        // seed — identical across worker counts and root placements.
         assert_eq!(failed_sets[0], failed_sets[1]);
         assert_eq!(failed_sets[0], failed_sets[2]);
     }
@@ -1436,7 +1211,7 @@ class t.B {
             let (lib, stats) = AnalysisEngine::new(jobs)
                 .with_guard(guard)
                 .analyze_library(&program, "t", options);
-            // The run completes and the lost batch resurfaces as
+            // The run completes and the lost worker's roots resurface as
             // per-root faults, so no root silently disappears.
             assert_eq!(
                 lib.entries.len() + lib.degraded.len(),
@@ -1452,8 +1227,8 @@ class t.B {
                 .unwrap_or_else(|| panic!("no append-fault diagnostic at jobs {jobs}"));
             assert_eq!(diag.cause, Cause::Panic);
             assert!(stats.roots_degraded >= 1, "jobs {jobs}");
-            // Roots that committed in other batches are byte-identical
-            // to the clean run.
+            // Roots that other workers committed are byte-identical to
+            // the clean run.
             for (sig, entry) in &lib.entries {
                 assert_eq!(Some(entry), clean.entries.get(sig), "{sig} jobs {jobs}");
             }

@@ -27,7 +27,7 @@
 //! for the same input — the analysis crates only record into them through a
 //! commit protocol that counts each unit of logical work exactly once.
 //! `work` holds genuinely scheduling-dependent counts (memo hits, lock
-//! contention, steals) and `durations` holds wall-clock span timings; both
+//! contention, per-worker roots) and `durations` holds wall-clock span timings; both
 //! vary run to run and are excluded from determinism comparisons.
 //!
 //! # Examples
@@ -317,7 +317,7 @@ impl Recorder {
     }
 
     /// Registers (or finds) a **scheduling-dependent** counter (cache hits,
-    /// contention, steals…). Lands in the `work` schema section.
+    /// contention, per-worker roots…). Lands in the `work` schema section.
     pub fn work_counter(&self, name: &str) -> Counter {
         Counter(self.inner.as_ref().map(|r| counter_cell(&r.work, name)))
     }

@@ -55,8 +55,11 @@ use std::time::Instant;
 pub const TRACE_SCHEMA: &str = "spo-trace/1";
 
 /// Default per-lane ring capacity (events). At ~4 events per analyzed
-/// root this holds several thousand roots per worker before eviction.
-pub const DEFAULT_LANE_CAPACITY: usize = 16_384;
+/// root this holds several thousand roots per worker before eviction —
+/// a traced scale-1 corpus analysis on one worker (~20k events in one
+/// lane) drops nothing. Rings grow as events arrive, so a larger cap
+/// costs no memory on lanes that never fill it.
+pub const DEFAULT_LANE_CAPACITY: usize = 32_768;
 
 /// What a recorded event is, in Chrome Trace Event terms.
 #[derive(Clone, Debug)]
@@ -438,15 +441,6 @@ pub fn complete_since(start: Instant, name: &str, cat: &'static str) {
     CURRENT.with(|c| {
         if let Some(lane) = c.borrow().as_ref() {
             lane.complete_since(start, name, cat);
-        }
-    });
-}
-
-/// Records a counter sample on the current thread's lane, if any.
-pub fn counter_now(name: &str, cat: &'static str, value: u64) {
-    CURRENT.with(|c| {
-        if let Some(lane) = c.borrow().as_ref() {
-            lane.counter(name, cat, value);
         }
     });
 }

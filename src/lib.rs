@@ -26,7 +26,7 @@
 //! * [`corpus`] — the paper-figure scenarios and the synthetic
 //!   three-implementation corpus.
 //!
-//! All analyses run through the [`engine`]'s work-stealing worker pool;
+//! All analyses run through the [`engine`]'s worker pool;
 //! its merge is deterministic, so results are byte-identical to a serial
 //! run regardless of worker count.
 //!

@@ -1,11 +1,11 @@
-//! Property: cone-batched scheduling and write-behind publication (the
-//! engine defaults) keep the analysis schedule-independent at scale.
+//! Property: the engine's shared root cursor and direct summary
+//! publication keep the analysis schedule-independent at scale.
 //!
 //! Report bytes and the deterministic `spo-stats/1` sections must be
 //! identical across `--jobs 1/2/8`, with a cold cache and with a warm
 //! one, on the scale-10 corpus (depth-21 utility chains, ~59k jdk entry
 //! points). Tier-1 runs a strided sample of the roots — enough cones to
-//! exercise batching, stealing, and batched flushes, small enough for the
+//! exercise cross-worker summary sharing, small enough for the
 //! debug-build test budget; `tests/full_scale.rs` covers the full corpus
 //! at scale 1.
 
@@ -24,8 +24,7 @@ const SAMPLE_STRIDE: usize = 250;
 struct Run {
     report: String,
     deterministic: String,
-    batches_formed: u64,
-    writeback_flushes: u64,
+    workers: usize,
 }
 
 fn run_sampled(
@@ -44,8 +43,7 @@ fn run_sampled(
     Run {
         report: render_analysis(&policies),
         deterministic: rec.snapshot().deterministic_json(),
-        batches_formed: stats.batches_formed,
-        writeback_flushes: stats.writeback_flushes,
+        workers: stats.workers,
     }
 }
 
@@ -79,8 +77,10 @@ fn scale10_sample_identical_across_jobs_cold_and_warm() {
             "cold counters diverged at jobs={jobs}"
         );
         // The configuration under test is actually on.
-        assert!(run.batches_formed > 0, "jobs={jobs}: no batches formed");
-        assert!(run.writeback_flushes > 0, "jobs={jobs}: no batched flushes");
+        assert_eq!(
+            run.workers, *jobs,
+            "jobs={jobs}: multi-worker path not taken"
+        );
     }
 
     // Warm cache: populate once serially, then replay every worker count
