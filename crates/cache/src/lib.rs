@@ -13,8 +13,10 @@
 //!
 //! A root's cached policy is a pure function of:
 //!
-//! 1. the **cache format version** ([`FORMAT_VERSION`]) — bumped whenever
-//!    the serialization or the analysis semantics change;
+//! 1. the **key version** — bumped whenever the key derivation or the
+//!    analysis semantics change (the pack layout is versioned separately
+//!    by [`FORMAT_VERSION`], so a layout change leaves keys, and the
+//!    `.spi` cone fingerprints built from them, untouched);
 //! 2. the **analysis options** that affect results (`icp`, the event
 //!    definition, interprocedurality — the memo scope is deliberately
 //!    excluded because results are memo-invariant);
@@ -44,9 +46,9 @@
 //! analysis stores the new cone). Only missed roots ever need the call
 //! graph — [`CacheKeyer`] is built over just those.
 //!
-//! All hashing is [`spo_jir::Fnv64`]: seedless, platform-independent, and
-//! stable across parses (it hashes resolved strings and structural tags,
-//! never interned ids).
+//! All key hashing is [`spo_jir::Fnv64`]: seedless, platform-independent,
+//! and stable across parses (it hashes resolved strings and structural
+//! tags, never interned ids).
 //!
 //! ## Storage layout
 //!
@@ -89,11 +91,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-/// The on-disk format version. Any change to the entry serialization, the
-/// key derivation, or the analysis semantics the cached policies depend on
-/// must bump this; old packs then read as version mismatches and fall
-/// back to cold analysis.
-pub const FORMAT_VERSION: u32 = 3;
+/// The on-disk format version. Any change to the pack layout or the entry
+/// serialization must bump this; old packs then read as version
+/// mismatches and fall back to cold analysis.
+pub const FORMAT_VERSION: u32 = 4;
+
+/// Salts every cone key. Any change to the key derivation or the analysis
+/// semantics the cached policies depend on must bump this, which
+/// invalidates every stored entry and every `.spi` cone fingerprint.
+const KEY_VERSION: u64 = 3;
 
 /// Name of the pack file inside the cache directory.
 pub const PACK_FILE: &str = "policies.spc";
@@ -101,7 +107,7 @@ pub const PACK_FILE: &str = "policies.spc";
 /// Folds one cone's sorted member content hashes into a cache key.
 fn fold_key(opts: &str, salt: u64, sorted_contents: &[u64]) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u64(FORMAT_VERSION as u64);
+    h.write_u64(KEY_VERSION);
     h.write_str(opts);
     h.write_u64(salt);
     for &content in sorted_contents {
@@ -643,6 +649,7 @@ impl Drop for PolicyCache {
 //   "spo-cache <FORMAT_VERSION>\n"
 //   u64 LE  entry count
 //   repeated: u64 LE root key, u32 LE blob length, blob bytes
+//   u64 LE  checksum of everything above (spo_index::codec::checksum)
 //
 // and each blob (see encode_blob/decode_blob):
 //
@@ -663,7 +670,7 @@ impl Drop for PolicyCache {
 // cache-specific.
 // ---------------------------------------------------------------------------
 
-use spo_index::codec::{put_event_key, put_str, put_u32, put_u64, Cursor};
+use spo_index::codec::{checksum, put_event_key, put_str, put_u32, put_u64, Cursor};
 
 fn encode_blob(key: u64, cone: &[u64], entry: &EntryPolicy) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + 8 * cone.len());
@@ -783,9 +790,8 @@ fn render_pack(entries: &HashMap<u64, Vec<u8>>) -> Vec<u8> {
     // Trailing whole-pack checksum: a single flipped bit anywhere in the
     // file must discard the pack, not decode into a different-but-valid
     // summary (policy bitmasks have no internal redundancy of their own).
-    let mut h = Fnv64::new();
-    h.write(&pack);
-    put_u64(&mut pack, h.finish());
+    let sum = checksum(&pack);
+    put_u64(&mut pack, sum);
     pack
 }
 
@@ -809,10 +815,8 @@ fn parse_pack(bytes: &[u8]) -> Result<HashMap<u64, Vec<u8>>, String> {
         return Err("truncated pack (no checksum)".to_owned());
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut h = Fnv64::new();
-    h.write(body);
     let want = u64::from_le_bytes(tail.try_into().expect("split_at leaves 8 bytes"));
-    if h.finish() != want {
+    if checksum(body) != want {
         return Err("pack checksum mismatch (corrupt cache)".to_owned());
     }
     let bytes = body;

@@ -13,8 +13,7 @@ use crate::events::{EventDef, EventKey};
 use crate::policy::{AnalysisStats, EntryPolicy, EventPolicy, LibraryPolicies};
 use crate::store::{EventRec, LocalStore, MemoKey, Summary, SummaryStore};
 use spo_dataflow::{
-    run_forward_governed, AbsVal, ConstEnv, Dnf, FixpointStats, Flow, ForwardAnalysis, JoinLattice,
-    MustSet,
+    run_forward, AbsVal, ConstEnv, Dnf, FixpointStats, Flow, ForwardAnalysis, JoinLattice, MustSet,
 };
 use spo_guard::Governor;
 use spo_jir::{Expr, FieldFlags, FieldRef, FieldTarget, LocalId, MethodId, Program, Stmt};
@@ -198,21 +197,6 @@ impl<'p> Analyzer<'p> {
         self
     }
 
-    /// The attached recorder (disabled unless set).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// The program under analysis.
-    pub fn program(&self) -> &'p Program {
-        self.program
-    }
-
-    /// The analysis options.
-    pub fn options(&self) -> AnalysisOptions {
-        self.options
-    }
-
     /// Analyzes every API entry point of the program with both the MAY and
     /// MUST passes and returns the merged per-entry policies.
     pub fn analyze_library(&self, name: &str) -> LibraryPolicies {
@@ -240,41 +224,20 @@ impl<'p> Analyzer<'p> {
     pub fn analyze_entries(&self, name: &str, roots: &[MethodId]) -> LibraryPolicies {
         let may_store = LocalStore::default();
         let must_store = LocalStore::default();
-        self.analyze_entries_with(name, roots, &may_store, &must_store)
-    }
-
-    /// Analyzes a chosen set of entry points (both passes) against the
-    /// given summary stores.
-    ///
-    /// This is the store-pluggable variant behind [`analyze_entries`]: the
-    /// serial analyzer passes fresh [`LocalStore`]s, while the parallel
-    /// engine passes [`SharedStore`]s so workers reuse each other's
-    /// summaries. Results are identical either way — memoized summaries
-    /// are pure functions of their key.
-    ///
-    /// [`analyze_entries`]: Analyzer::analyze_entries
-    /// [`SharedStore`]: crate::SharedStore
-    pub fn analyze_entries_with(
-        &self,
-        name: &str,
-        roots: &[MethodId],
-        may_store: &dyn SummaryStore<Dnf>,
-        must_store: &dyn SummaryStore<MustSet>,
-    ) -> LibraryPolicies {
         let mut stats = AnalysisStats {
             entry_points: roots.len(),
             ..Default::default()
         };
 
         let t0 = Instant::now();
-        let may = self.run_pass::<Dnf>(roots, &mut stats, may_store);
+        let may = self.run_pass::<Dnf>(roots, &mut stats, &may_store);
         stats.may_nanos = t0.elapsed().as_nanos();
         self.recorder
             .duration("ispa.pass.may")
             .record(stats.may_nanos as u64);
 
         let t1 = Instant::now();
-        let must = self.run_pass::<MustSet>(roots, &mut stats, must_store);
+        let must = self.run_pass::<MustSet>(roots, &mut stats, &must_store);
         stats.must_nanos = t1.elapsed().as_nanos();
         self.recorder
             .duration("ispa.pass.must")
@@ -298,52 +261,17 @@ impl<'p> Analyzer<'p> {
     /// summary stores, returning its signature key and policy.
     ///
     /// This is the unit of work the parallel engine fans out: each worker
-    /// analyzes whole roots against shared stores and the engine merges the
-    /// `(signature, policy)` pairs back in root order, reproducing the
-    /// serial first-root-wins merge exactly.
-    pub fn analyze_root_with(
-        &self,
-        root: MethodId,
-        may_store: &dyn SummaryStore<Dnf>,
-        must_store: &dyn SummaryStore<MustSet>,
-        stats: &mut AnalysisStats,
-    ) -> (String, EntryPolicy) {
-        self.analyze_root_traced(root, may_store, must_store, stats, &self.recorder)
-    }
-
-    /// Like [`Analyzer::analyze_root_with`], recording metrics into an
-    /// explicit recorder instead of the analyzer's own — the parallel
-    /// engine hands each worker a private recorder here and merges them in
-    /// worker-id order afterwards.
+    /// analyzes whole roots against shared stores, recording into its own
+    /// private recorder, and the engine merges the `(signature, policy)`
+    /// pairs back in root order, reproducing the serial first-root-wins
+    /// merge exactly.
     ///
-    /// [`Analyzer::analyze_root_with`]: Analyzer::analyze_root_with
-    pub fn analyze_root_traced(
-        &self,
-        root: MethodId,
-        may_store: &dyn SummaryStore<Dnf>,
-        must_store: &dyn SummaryStore<MustSet>,
-        stats: &mut AnalysisStats,
-        rec: &Recorder,
-    ) -> (String, EntryPolicy) {
-        self.analyze_root_governed(
-            root,
-            may_store,
-            must_store,
-            stats,
-            rec,
-            &Governor::unlimited(),
-        )
-    }
-
-    /// Like [`Analyzer::analyze_root_traced`], under a per-root
-    /// [`Governor`]: every method-frame entry and worklist transfer is
-    /// checked against the governor's budget and cancel token. Exhaustion
-    /// raises an [`Interrupt`](spo_guard::Interrupt) unwind — callers with
-    /// a non-trivial budget must run this inside
+    /// Every method-frame entry and worklist transfer is checked against
+    /// `governor`'s budget and cancel token. Exhaustion raises an
+    /// [`Interrupt`](spo_guard::Interrupt) unwind — callers with a
+    /// non-trivial budget must run this inside
     /// [`quarantine`](spo_guard::quarantine), as the parallel engine does.
-    ///
-    /// [`Analyzer::analyze_root_traced`]: Analyzer::analyze_root_traced
-    pub fn analyze_root_governed(
+    pub fn analyze_root(
         &self,
         root: MethodId,
         may_store: &dyn SummaryStore<Dnf>,
@@ -698,7 +626,7 @@ impl<'a, 'p, P: PolicyDomain> Pass<'a, 'p, P> {
             },
             call_cache: HashMap::new(),
         };
-        let (results, fx) = run_forward_governed(body, &cfg, &mut spda, governor);
+        let (results, fx) = run_forward(body, &cfg, &mut spda, governor);
         let call_cache = spda.call_cache;
         let mut fobs = FrameObs {
             fx,

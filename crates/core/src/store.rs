@@ -25,9 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-/// Default number of lock stripes in a [`SharedStore`] — the single source
-/// of the engine's and [`SharedStore::default`]'s shard counts, so a store
-/// built by one layer always matches what the other expects.
+/// Number of lock stripes in a [`SharedStore::default`] store, the pair
+/// each global-memo engine run builds.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// The memoization key of a context-sensitive method summary: the paper's

@@ -14,7 +14,7 @@
 //!   memoized, and a clean summary is a pure function of its memo key
 //!   `(method, in-policy, const-params, privileged)`. A memo hit therefore
 //!   returns exactly what recomputation would have produced, regardless of
-//!   which worker (or run) inserted it.
+//!   which worker inserted it.
 //! * Per-root analysis state (the call stack, the recursion taint floor)
 //!   lives in the worker, never in the shared store.
 //! * The serial analyzer resolves signature collisions between roots
@@ -191,53 +191,7 @@ pub struct AnalysisEngine {
     tracer: Tracer,
     guard: GuardConfig,
     cache: Option<Arc<PolicyCache>>,
-    resident: Option<Arc<ResidentStore>>,
     chaos: spo_chaos::FaultPlan,
-}
-
-/// A MAY/MUST summary-store pair that outlives a single engine run, so a
-/// resident process (the `spo serve` daemon) can re-enter the analysis
-/// with its memo tables already warm instead of building a fresh pair per
-/// run.
-///
-/// Reuse is sound because only *clean* summaries are memoized and a clean
-/// summary is a pure function of its memo key — but that key names methods
-/// by program-local [`MethodId`] and the summaries depend on the
-/// [`AnalysisOptions`]. A resident store must therefore only ever be
-/// attached for **one (program, options) pairing** and dropped when the
-/// program is reloaded; the serving layer enforces this by keying stores
-/// on both.
-pub struct ResidentStore {
-    may: SharedStore<Dnf>,
-    must: SharedStore<MustSet>,
-}
-
-impl std::fmt::Debug for ResidentStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResidentStore")
-            .field("summaries", &self.summaries())
-            .finish()
-    }
-}
-
-impl ResidentStore {
-    /// Number of memoized summaries currently held (both passes).
-    pub fn summaries(&self) -> usize {
-        use spo_core::SummaryStore as _;
-        self.may.len() + self.must.len()
-    }
-}
-
-impl Default for ResidentStore {
-    /// A fresh, empty pair with [`DEFAULT_SHARDS`](spo_core::DEFAULT_SHARDS)
-    /// stripes per store — the same layout as the pair a run without a
-    /// resident store builds.
-    fn default() -> ResidentStore {
-        ResidentStore {
-            may: SharedStore::default(),
-            must: SharedStore::default(),
-        }
-    }
 }
 
 impl Default for AnalysisEngine {
@@ -257,7 +211,6 @@ impl AnalysisEngine {
             tracer: Tracer::disabled(),
             guard: GuardConfig::default(),
             cache: None,
-            resident: None,
             // Captured once at construction: worker probes must all draw
             // from the same plan even if the global is swapped mid-run.
             chaos: spo_chaos::current(),
@@ -273,22 +226,6 @@ impl AnalysisEngine {
         self
     }
 
-    /// Attaches a [`ResidentStore`]: runs with [`MemoScope::Global`]
-    /// borrow it instead of building a store pair per run, so repeat
-    /// analyses in a long-lived process start with every previously proven
-    /// clean summary already memoized. The caller owns the keying
-    /// discipline documented on [`ResidentStore`] — one store per
-    /// (program, options) pairing. Other memo scopes ignore it.
-    pub fn with_resident(mut self, resident: Arc<ResidentStore>) -> Self {
-        self.resident = Some(resident);
-        self
-    }
-
-    /// The attached resident store, if any.
-    pub fn resident(&self) -> Option<&Arc<ResidentStore>> {
-        self.resident.as_ref()
-    }
-
     /// Attaches a persistent summary cache: roots whose cone key has a
     /// usable on-disk entry skip analysis and warm-start from it; every
     /// cleanly analyzed root is written back. Results stay byte-identical
@@ -298,11 +235,6 @@ impl AnalysisEngine {
     pub fn with_cache(mut self, cache: Arc<PolicyCache>) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// The attached persistent cache, if any.
-    pub fn cache(&self) -> Option<&Arc<PolicyCache>> {
-        self.cache.as_ref()
     }
 
     /// Attaches a guard configuration: per-root budgets, the shared cancel
@@ -316,11 +248,6 @@ impl AnalysisEngine {
         self
     }
 
-    /// The attached guard configuration (inert unless set).
-    pub fn guard(&self) -> &GuardConfig {
-        &self.guard
-    }
-
     /// Attaches an observability recorder. Each worker records into a
     /// private child recorder; the engine absorbs them in worker-id order
     /// after the pool joins, so the merged deterministic sections do not
@@ -328,11 +255,6 @@ impl AnalysisEngine {
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
-    }
-
-    /// The attached recorder (disabled unless set).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 
     /// Attaches a flight-recorder tracer. Each run opens a main lane plus
@@ -344,11 +266,6 @@ impl AnalysisEngine {
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
         self
-    }
-
-    /// The attached tracer (disabled unless set).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// The resolved worker count.
@@ -433,21 +350,10 @@ impl AnalysisEngine {
 
         // Global scope shares one sharded store pair across all workers;
         // other scopes get per-root local stores inside the worker, which
-        // reproduces PerEntry's clear-between-roots semantics. With a
-        // resident store attached the run borrows it instead of building
-        // its own pair, so clean summaries survive into the next run —
-        // sound because they are pure functions of their memo key (see
-        // [`ResidentStore`] for the keying discipline this relies on).
-        let owned: Option<(SharedStore<Dnf>, SharedStore<MustSet>)> =
-            (options.memo == MemoScope::Global && self.resident.is_none())
-                .then(|| (SharedStore::default(), SharedStore::default()));
-        let shared: Option<(&SharedStore<Dnf>, &SharedStore<MustSet>)> = match &self.resident {
-            Some(r) if options.memo == MemoScope::Global => Some((&r.may, &r.must)),
-            _ => owned.as_ref().map(|(may, must)| (may, must)),
-        };
-        // A resident store's counters accumulate across runs; snapshot them
-        // so this run's stats report only its own traffic.
-        let shards_before = shared.map(|(may, must)| (may.shard_stats(), must.shard_stats()));
+        // reproduces PerEntry's clear-between-roots semantics.
+        let shared: Option<(SharedStore<Dnf>, SharedStore<MustSet>)> = (options.memo
+            == MemoScope::Global)
+            .then(|| (SharedStore::default(), SharedStore::default()));
 
         // One shared cursor over the work list: each worker claims the next
         // root with a single `fetch_add` until the list runs out. Clean
@@ -486,6 +392,7 @@ impl AnalysisEngine {
                 let faults = &faults;
                 let guard = &self.guard;
                 let chaos = &self.chaos;
+                let shared = &shared;
                 let lane = &worker_lanes[w];
                 s.spawn(move || {
                     let _lane_bound = trace::bind(lane);
@@ -523,13 +430,13 @@ impl AnalysisEngine {
                             }
                             governor.check_point();
                             match shared {
-                                Some((may, must)) => analyzer.analyze_root_governed(
+                                Some((may, must)) => analyzer.analyze_root(
                                     roots[idx], may, must, &mut stats, rec, &governor,
                                 ),
                                 None => {
                                     let may = LocalStore::default();
                                     let must = LocalStore::default();
-                                    analyzer.analyze_root_governed(
+                                    analyzer.analyze_root(
                                         roots[idx], &may, &must, &mut stats, rec, &governor,
                                     )
                                 }
@@ -637,6 +544,10 @@ impl AnalysisEngine {
                 .or_insert_with(|| Diagnostic::degraded_root(sig, &fault));
         }
 
+        let (may_shards, must_shards) = shared
+            .as_ref()
+            .map(|(may, must)| (may.shard_stats(), must.shard_stats()))
+            .unwrap_or_default();
         let stats = EngineStats {
             workers,
             entry_points: roots.len(),
@@ -647,14 +558,8 @@ impl AnalysisEngine {
             } else {
                 0
             },
-            may_shards: shared
-                .zip(shards_before.as_ref())
-                .map(|((m, _), (before, _))| shard_delta(m.shard_stats(), before))
-                .unwrap_or_default(),
-            must_shards: shared
-                .zip(shards_before.as_ref())
-                .map(|((_, m), (_, before))| shard_delta(m.shard_stats(), before))
-                .unwrap_or_default(),
+            may_shards,
+            must_shards,
             wall_nanos: t0.elapsed().as_nanos(),
             roots_degraded: degraded.len() as u64,
         };
@@ -788,23 +693,6 @@ impl AnalysisEngine {
     }
 }
 
-/// This run's share of a (possibly resident, hence accumulating) store's
-/// shard counters: traffic counters are deltas against the pre-run
-/// snapshot, while `entries` stays the absolute store population.
-fn shard_delta(after: Vec<ShardStats>, before: &[ShardStats]) -> Vec<ShardStats> {
-    after
-        .into_iter()
-        .zip(before)
-        .map(|(a, b)| ShardStats {
-            hits: a.hits - b.hits,
-            misses: a.misses - b.misses,
-            contended: a.contended.saturating_sub(b.contended),
-            entries: a.entries,
-            lock_wait: a.lock_wait.saturating_delta(&b.lock_wait),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,53 +739,6 @@ class t.A {
     }
 
     #[test]
-    fn resident_store_warms_repeat_runs_and_stays_byte_identical() {
-        let program = sample_program();
-        let options = AnalysisOptions::default();
-        let (cold, _) = AnalysisEngine::new(2).analyze_library(&program, "t", options);
-
-        let resident = Arc::new(ResidentStore::default());
-        let engine = AnalysisEngine::new(2).with_resident(Arc::clone(&resident));
-        let (first, s1) = engine.analyze_library(&program, "t", options);
-        assert_eq!(first.entries, cold.entries);
-        let warmed = resident.summaries();
-        assert!(warmed > 0, "first run populates the resident store");
-        let miss = |s: &EngineStats| {
-            s.may_shards
-                .iter()
-                .chain(&s.must_shards)
-                .map(|sh| sh.misses)
-                .sum::<u64>()
-        };
-        assert!(miss(&s1) > 0, "an empty store starts with misses");
-
-        let (second, s2) = engine.analyze_library(&program, "t", options);
-        assert_eq!(second.entries, cold.entries, "reuse is byte-identical");
-        assert_eq!(
-            resident.summaries(),
-            warmed,
-            "a repeat run re-derives nothing"
-        );
-        assert!(
-            miss(&s2) < miss(&s1),
-            "resident summaries absorb repeat lookups ({} vs {})",
-            miss(&s2),
-            miss(&s1)
-        );
-
-        // Non-global scopes ignore the resident store entirely.
-        let per_entry = AnalysisOptions {
-            memo: MemoScope::PerEntry,
-            ..options
-        };
-        let serial = Analyzer::new(&program, per_entry).analyze_library("t");
-        let (lib, stats) = engine.analyze_library(&program, "t", per_entry);
-        assert_eq!(lib.entries, serial.entries);
-        assert!(stats.may_shards.is_empty());
-        assert_eq!(resident.summaries(), warmed);
-    }
-
-    #[test]
     fn matches_serial_for_every_memo_scope_and_worker_count() {
         let program = sample_program();
         for memo in [MemoScope::None, MemoScope::PerEntry, MemoScope::Global] {
@@ -911,6 +752,12 @@ class t.A {
                     AnalysisEngine::new(jobs).analyze_library(&program, "t", options);
                 assert_eq!(par.entries, serial.entries, "memo {memo:?} jobs {jobs}");
                 assert_eq!(stats.entry_points, serial.stats.entry_points);
+                // Only the global scope shares a store pair across roots.
+                assert_eq!(
+                    stats.may_shards.is_empty(),
+                    memo != MemoScope::Global,
+                    "memo {memo:?} jobs {jobs}"
+                );
             }
         }
     }

@@ -298,7 +298,7 @@ impl Governor {
 
     /// Per-worklist-pop check: `steps` is the solve-local transfer count.
     /// Trips when the per-solve step budget is exhausted; checks
-    /// cancellation/deadline every [`DEADLINE_STRIDE`] steps.
+    /// cancellation/deadline every `DEADLINE_STRIDE` (256) steps.
     #[inline]
     pub fn check_step(&self, steps: u64) {
         if !self.governed {

@@ -1,5 +1,6 @@
 //! Shared little-endian codec primitives for the length-prefixed binary
-//! packs (`spo-cache`'s `policies.spc` and this crate's `policies.spi`).
+//! packs (`spo-cache`'s `policies.spc` and this crate's `policies.spi`),
+//! and the trailing whole-file [`checksum`] both packs end with.
 //!
 //! Reading is built on [`Cursor`], a bounded reader whose every method
 //! fails soundly on truncation, and on *checked counted reads*
@@ -199,6 +200,41 @@ impl<'a> Cursor<'a> {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The trailing whole-file checksum of both binary packs (`policies.spc`
+/// and `policies.spi`): FNV-1a run word-wise over four independent lanes,
+/// so the multiplies of neighbouring words overlap instead of forming one
+/// serial chain. Lane `i` takes every fourth
+/// little-endian u64 word starting at word `i`; the lanes are then folded
+/// together, followed by the bytes of the last partial 32-byte block and
+/// the length.
+///
+/// Every step `h ← (h ^ x) · prime` is a bijection in `x` for fixed `h`
+/// and in `h` for fixed `x` (the prime is odd), so a change confined to
+/// one word or one tail byte — in particular any single flipped bit or
+/// byte — always changes the sum.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word);
+            *lane = (*lane ^ u64::from_le_bytes(w)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    let mut h = lanes[0];
+    for lane in &lanes[1..] {
+        h = (h ^ lane).wrapping_mul(FNV_PRIME);
+    }
+    for &b in blocks.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    (h ^ bytes.len() as u64).wrapping_mul(FNV_PRIME)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,5 +287,21 @@ mod tests {
         let n = c.counted(4).unwrap();
         let items: Vec<u32> = (0..n).map(|_| c.u32().unwrap()).collect();
         assert_eq!(items, [10, 20]);
+    }
+
+    #[test]
+    fn checksum_covers_words_tail_and_length() {
+        let base: Vec<u8> = (0..77u8).collect(); // two 32-byte blocks + 13 tail bytes
+        let sum = checksum(&base);
+        for pos in 0..base.len() {
+            let mut b = base.clone();
+            b[pos] ^= 0x10;
+            assert_ne!(checksum(&b), sum, "byte {pos}");
+        }
+        // Trailing zeros are not free: the length is folded in.
+        let mut longer = base.clone();
+        longer.push(0);
+        assert_ne!(checksum(&longer), sum);
+        assert_ne!(checksum(&[]), checksum(&[0]));
     }
 }

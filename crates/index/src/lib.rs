@@ -80,7 +80,7 @@ use std::path::Path;
 
 pub mod codec;
 
-use codec::Cursor;
+use codec::{checksum, Cursor};
 
 /// The on-disk index format version; bumped whenever the layout or the
 /// policy semantics it captures change. Old files then read as version
@@ -134,40 +134,6 @@ pub fn root_key(signature: &str) -> u64 {
 
 fn header_line() -> String {
     format!("spo-index {FORMAT_VERSION}\n")
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// The trailing whole-file checksum: FNV-1a run word-wise over four
-/// independent lanes, so the multiplies of neighbouring words overlap
-/// instead of forming one serial chain. Lane `i` takes every fourth
-/// little-endian u64 word starting at word `i`; the lanes are then folded
-/// together, followed by the bytes of the last partial 32-byte block and
-/// the length.
-///
-/// Every step `h ← (h ^ x) · prime` is a bijection in `x` for fixed `h`
-/// and in `h` for fixed `x` (the prime is odd), so a change confined to
-/// one word or one tail byte — in particular any single flipped bit or
-/// byte — always changes the sum.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut lanes = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
-    let mut blocks = bytes.chunks_exact(32);
-    for block in &mut blocks {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(word);
-            *lane = (*lane ^ u64::from_le_bytes(w)).wrapping_mul(FNV_PRIME);
-        }
-    }
-    let mut h = lanes[0];
-    for lane in &lanes[1..] {
-        h = (h ^ lane).wrapping_mul(FNV_PRIME);
-    }
-    for &b in blocks.remainder() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    (h ^ bytes.len() as u64).wrapping_mul(FNV_PRIME)
 }
 
 // ---------------------------------------------------------------------------
@@ -1178,22 +1144,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn checksum_covers_words_tail_and_length() {
-        let base: Vec<u8> = (0..77u8).collect(); // two 32-byte blocks + 13 tail bytes
-        let sum = checksum(&base);
-        for pos in 0..base.len() {
-            let mut b = base.clone();
-            b[pos] ^= 0x10;
-            assert_ne!(checksum(&b), sum, "byte {pos}");
-        }
-        // Trailing zeros are not free: the length is folded in.
-        let mut longer = base.clone();
-        longer.push(0);
-        assert_ne!(checksum(&longer), sum);
-        assert_ne!(checksum(&[]), checksum(&[0]));
     }
 
     #[test]

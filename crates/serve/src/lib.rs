@@ -2,11 +2,11 @@
 //!
 //! One-shot `spo analyze`/`spo diff` invocations pay program parsing,
 //! call-graph construction, and full interprocedural analysis on every
-//! run. This crate keeps all of that **resident**: a long-running daemon
-//! holds loaded programs, their [`spo_engine::ResidentStore`] summary
-//! stores, and finished policy analyses in memory, and serves repeat
-//! queries over a Unix socket (optionally TCP) in the line-delimited JSON
-//! protocol `spo-rpc/1` ([`proto`]).
+//! run. This crate keeps the results **resident**: a long-running daemon
+//! holds loaded programs and their finished policy analyses in memory
+//! (the engine's summary stores live for one run only), and serves
+//! repeat queries over a Unix socket (optionally TCP) in the line-delimited
+//! JSON protocol `spo-rpc/1` ([`proto`]).
 //!
 //! The three load-bearing properties, in decreasing order of subtlety:
 //!

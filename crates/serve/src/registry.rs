@@ -1,18 +1,17 @@
-//! The daemon's warm state: loaded programs and their resident analyses.
+//! The daemon's warm state: loaded programs and their finished analyses.
 //!
 //! A [`Registry`] maps program names to immutable [`ProgramEntry`]
 //! snapshots. Each entry keeps, per [`OptionsSpec`], the finished
-//! [`Analysis`] (report bytes, diagnostics, exit code) and the engine's
-//! [`ResidentStore`] of interprocedural summaries. Repeat requests are
-//! answered from the analysis map without touching the engine; `reload`
-//! swaps in a fresh snapshot and re-analyzes previously-warm option sets
-//! through the persistent [`PolicyCache`], so only roots whose dependence
-//! cone changed are recomputed.
+//! [`Analysis`] (report bytes, diagnostics, exit code). Repeat requests are
+//! answered from that map without touching the engine; a cold request runs
+//! the engine once, with summary stores that live for that run only.
+//! `reload` swaps in a fresh snapshot and re-analyzes previously-warm
+//! option sets through the persistent [`PolicyCache`], so only roots whose
+//! dependence cone changed are recomputed.
 //!
-//! Soundness discipline (see [`ResidentStore`]): resident summary stores
-//! and cached analyses are keyed per *(program entry, options)* and a
-//! reload always builds a fresh entry with empty maps — summaries never
-//! survive a program swap, and never leak across option sets.
+//! Analyses are keyed per *(program entry, options)* and a reload always
+//! builds a fresh entry with an empty map — answers never survive a
+//! program swap, and never leak across option sets.
 //!
 //! Degraded analyses (budget/deadline/cancel-tripped) are returned to the
 //! requesting session but **not** inserted into the warm map: a partial
@@ -24,7 +23,7 @@ use spo_cache::PolicyCache;
 use spo_core::{
     diff_libraries, group_differences, render_analysis, render_reports, root_keys, LibraryPolicies,
 };
-use spo_engine::{AnalysisEngine, ResidentStore};
+use spo_engine::AnalysisEngine;
 use spo_guard::{Cause, Diagnostic, GuardConfig, Phase, Severity};
 use spo_jir::Program;
 use spo_obs::trace::Tracer;
@@ -69,7 +68,6 @@ pub struct ProgramEntry {
     /// Number of API entry points.
     pub entry_points: usize,
     analyses: Mutex<BTreeMap<OptionsSpec, Arc<Analysis>>>,
-    residents: Mutex<BTreeMap<OptionsSpec, Arc<ResidentStore>>>,
 }
 
 /// What `load` reports back.
@@ -196,7 +194,6 @@ impl Registry {
             classes,
             entry_points,
             analyses: Mutex::new(BTreeMap::new()),
-            residents: Mutex::new(BTreeMap::new()),
         }))
     }
 
@@ -257,19 +254,10 @@ impl Registry {
         {
             return (Arc::clone(a), true);
         }
-        let resident = Arc::clone(
-            entry
-                .residents
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .entry(spec)
-                .or_insert_with(|| Arc::new(ResidentStore::default())),
-        );
         let mut engine = AnalysisEngine::new(self.jobs)
             .with_recorder(self.recorder.clone())
             .with_guard(guard.clone())
-            .with_tracer(tracer.clone())
-            .with_resident(resident);
+            .with_tracer(tracer.clone());
         if let Some(cache) = &self.cache {
             engine = engine.with_cache(Arc::clone(cache));
         }

@@ -348,6 +348,21 @@ fn over_budget_requests_degrade_without_disturbing_other_sessions() {
     let q = warm.rpc(r#"{"spo-rpc":1,"id":5,"method":"query","params":{"name":"left"}}"#);
     assert_eq!(status(&q), "ok");
     assert!(report(&q).contains("entry "));
+
+    // The degraded answer never became the warm one: retrying without a
+    // timeout reruns the engine and yields the complete one-shot report.
+    let retry = other.rpc(r#"{"spo-rpc":1,"id":6,"method":"analyze","params":{"name":"cold"}}"#);
+    assert_eq!(status(&retry), "ok", "{retry:?}");
+    assert_eq!(
+        retry
+            .get("result")
+            .and_then(|r| r.get("exit_code"))
+            .and_then(Value::as_u64),
+        Some(0)
+    );
+    let cli = spo(&["analyze", harmony.to_str().unwrap()]);
+    assert!(cli.status.success());
+    assert_eq!(report(&retry), String::from_utf8(cli.stdout).unwrap());
     assert_eq!(daemon.shutdown(), 0);
 }
 
