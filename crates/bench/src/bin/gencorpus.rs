@@ -10,7 +10,6 @@
 //! Emits `prelude.jir`, one `<lib>.jir` per implementation (figures
 //! included), and `catalog.txt` with the ground-truth bug census.
 
-use spo_corpus::figures::{ALL_FIGURES, FP_GET_PROPERTY};
 use spo_corpus::{generate, CorpusConfig, Lib};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -53,14 +52,7 @@ fn main() {
         .expect("write prelude");
     let (mut entry_points, mut methods, mut bytes) = (0usize, 0usize, 0usize);
     for lib in Lib::ALL {
-        let mut src = String::new();
-        for fig in ALL_FIGURES.iter().chain([&FP_GET_PROPERTY]) {
-            if let Some(s) = fig.source(lib) {
-                src.push_str(s);
-                src.push('\n');
-            }
-        }
-        src.push_str(&corpus.sources[&lib]);
+        let src = corpus.library_source(lib);
         let path = out_dir.join(format!("{lib}.jir"));
         std::fs::write(&path, &src).expect("write library source");
         eprintln!("wrote {} ({} bytes)", path.display(), src.len());

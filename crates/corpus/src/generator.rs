@@ -77,6 +77,21 @@ impl Corpus {
         &self.programs[&lib]
     }
 
+    /// The `.jir` text of one implementation as `gencorpus` writes it to
+    /// `<lib>.jir`: the paper's figures, then the generated classes. The
+    /// prelude is a separate file, layered underneath.
+    pub fn library_source(&self, lib: Lib) -> String {
+        let mut src = String::new();
+        for fig in ALL_FIGURES.iter().chain([&FP_GET_PROPERTY]) {
+            if let Some(s) = fig.source(lib) {
+                src.push_str(s);
+                src.push('\n');
+            }
+        }
+        src.push_str(&self.sources[&lib]);
+        src
+    }
+
     /// Non-comment, non-blank source lines per implementation (prelude and
     /// figure code included) — the corpus analogue of Table 1's
     /// "Non-comment lines of code".

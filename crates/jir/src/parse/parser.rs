@@ -4,15 +4,17 @@
 //! a walkthrough and `printer.rs` for the exact concrete syntax (the printer
 //! and parser round-trip).
 
-use super::lexer::{lex, LexError, Spanned, Tok};
+use super::lexer::{lex, LexError, Lexer, Spanned, Tok};
 use crate::body::{Body, LocalDecl};
 use crate::flags::{ClassFlags, FieldFlags, MethodFlags};
+use crate::intern::FxBuildHasher;
 use crate::program::{Class, Field, Method, Program, ProgramError};
 use crate::stmt::{
     Call, CmpOp, Cond, Const, Expr, FieldRef, FieldTarget, InvokeKind, LocalId, MethodRef, Operand,
     Stmt,
 };
 use crate::types::Type;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -84,24 +86,16 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 ///
 /// See [`parse_program`].
 pub fn parse_into(src: &str, program: &mut Program) -> Result<(), ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        program,
-    };
-    while !p.at_eof() {
-        let class = p.parse_class()?;
-        let (line, col) = p.here();
-        p.program
-            .add_class(class)
-            .map_err(|e: ProgramError| ParseError {
-                message: e.to_string(),
-                line,
-                col,
-            })?;
+    let before = program.len_mark();
+    let mut p = Parser::new(src, program);
+    let parsed = p.parse_classes();
+    // A lexical error anywhere drops the whole file, as if the file had
+    // been tokenized before parsing began.
+    if let Some(e) = p.take_lex_error() {
+        p.program.truncate_to(before);
+        return Err(e.into());
     }
-    Ok(())
+    parsed.map_err(|e| *e)
 }
 
 /// Like [`parse_into`], recording parse metrics into `rec`: a `jir.parse`
@@ -183,36 +177,21 @@ impl Recovery {
 /// corrupt file in a library-scale corpus degrades — never aborts — the
 /// load.
 pub fn parse_into_recovering(src: &str, program: &mut Program) -> Recovery {
+    let before = program.len_mark();
     let mut recovery = Recovery::default();
-    let tokens = match lex(src) {
-        Ok(t) => t,
-        Err(e) => {
-            recovery.diagnostics.push(ParseDiagnostic {
-                message: e.message,
-                line: e.line,
-                col: e.col,
-                dropped: "file".to_owned(),
-            });
-            return recovery;
-        }
-    };
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        program,
-    };
+    let mut p = Parser::new(src, program);
     while !p.at_eof() {
-        let start = p.pos;
+        let start = p.mark();
         match p.parse_class_with(Some(&mut recovery)) {
             Ok(class) => {
-                let cname = p.program.str(class.name).to_owned();
+                let name = class.name;
                 let (line, col) = p.here();
                 if let Err(e) = p.program.add_class(class) {
                     recovery.diagnostics.push(ParseDiagnostic {
                         message: e.to_string(),
                         line,
                         col,
-                        dropped: format!("class `{cname}`"),
+                        dropped: format!("class `{}`", p.program.str(name)),
                     });
                 }
             }
@@ -226,6 +205,17 @@ pub fn parse_into_recovering(src: &str, program: &mut Program) -> Recovery {
                 p.recover_to_class(start);
             }
         }
+    }
+    // A lexical error drops the whole file, and with it every diagnostic
+    // about the parse of what came before it.
+    if let Some(e) = p.take_lex_error() {
+        p.program.truncate_to(before);
+        recovery.diagnostics = vec![ParseDiagnostic {
+            message: e.message,
+            line: e.line,
+            col: e.col,
+            dropped: "file".to_owned(),
+        }];
     }
     recovery
 }
@@ -264,33 +254,89 @@ pub fn parse_into_recovering_traced(
     recovery
 }
 
-struct Parser<'p> {
-    tokens: Vec<Spanned>,
-    pos: usize,
+/// The parser's internal result. Boxing the error keeps `Err` one word
+/// wide, so the `?` after every token stays cheap.
+type PResult<T> = Result<T, Box<ParseError>>;
+
+/// A recursive-descent parser pulling tokens from a [`Lexer`] one at a
+/// time, with one token of lookahead.
+struct Parser<'src, 'p> {
+    src: &'src str,
+    /// Positioned just past the lookahead token.
+    lexer: Lexer<'src>,
+    /// The current token and the one after it: `toks[at]` and
+    /// `toks[at ^ 1]`. Moving on refills the current one's slot in place.
+    toks: [Spanned<'src>; 2],
+    at: usize,
+    /// The first lexical error met. The token stream ends there, and the
+    /// caller drops whatever the file added (see
+    /// [`Parser::take_lex_error`]).
+    lex_error: Option<LexError>,
     program: &'p mut Program,
+    /// The method being parsed's tables, cleared and kept between methods
+    /// so their allocations are reused.
+    scope: LocalScope<'src>,
+    body: StmtParser<'src>,
+    /// The class being parsed's members, likewise reused.
+    fields: Vec<Field>,
+    methods: Vec<Method>,
+    /// Reused to join a dotted name whose tokens are not adjacent in the
+    /// source (whitespace or a comment around a dot).
+    joined: String,
 }
 
-struct LocalScope {
-    by_name: HashMap<String, (LocalId, Type)>,
+/// A saved parser position to rewind to when recovering from an error.
+struct Mark<'src> {
+    lexer: Lexer<'src>,
+    toks: [Spanned<'src>; 2],
+    at: usize,
+}
+
+/// A dotted name `ident (. ident)*` already consumed.
+#[derive(Clone, Copy)]
+struct Dotted<'src> {
+    /// The source from the start of the first segment to the end of the
+    /// last.
+    text: &'src str,
+    first: &'src str,
+    last: &'src str,
+    segments: usize,
+    /// Length of `text` up to the end of the second-to-last segment.
+    init_len: usize,
+    /// Whether the segments and dots sit back to back, so that `text` is
+    /// the name itself.
+    adjacent: bool,
+}
+
+impl<'src> Dotted<'src> {
+    /// The whole name.
+    fn name(self) -> (&'src str, bool) {
+        (self.text, self.adjacent)
+    }
+
+    /// The name without its last segment; only for two or more segments.
+    fn init(self) -> (&'src str, bool) {
+        (&self.text[..self.init_len], self.adjacent)
+    }
+}
+
+#[derive(Default)]
+struct LocalScope<'src> {
+    by_name: HashMap<&'src str, (LocalId, Type), FxBuildHasher>,
     decls: Vec<LocalDecl>,
 }
 
-impl LocalScope {
-    fn new() -> Self {
-        LocalScope {
-            by_name: HashMap::new(),
-            decls: Vec::new(),
-        }
-    }
-
-    fn add(&mut self, name: &str, sym: crate::Symbol, ty: Type) -> Option<LocalId> {
-        if self.by_name.contains_key(name) {
-            return None;
-        }
+impl<'src> LocalScope<'src> {
+    fn add(&mut self, name: &'src str, sym: crate::Symbol, ty: Type) -> Option<LocalId> {
         let id = LocalId(self.decls.len() as u32);
-        self.by_name.insert(name.to_owned(), (id, ty.clone()));
-        self.decls.push(LocalDecl { name: sym, ty });
-        Some(id)
+        match self.by_name.entry(name) {
+            Entry::Occupied(_) => None,
+            Entry::Vacant(slot) => {
+                slot.insert((id, ty.clone()));
+                self.decls.push(LocalDecl { name: sym, ty });
+                Some(id)
+            }
+        }
     }
 
     fn get(&self, name: &str) -> Option<&(LocalId, Type)> {
@@ -298,43 +344,113 @@ impl LocalScope {
     }
 }
 
-impl<'p> Parser<'p> {
-    fn here(&self) -> (u32, u32) {
-        let s = &self.tokens[self.pos.min(self.tokens.len() - 1)];
-        (s.line, s.col)
+impl<'src, 'p> Parser<'src, 'p> {
+    fn new(src: &'src str, program: &'p mut Program) -> Self {
+        let eof = Spanned {
+            tok: Tok::Eof,
+            line: 1,
+            col: 1,
+        };
+        let mut p = Parser {
+            src,
+            lexer: Lexer::new(src),
+            toks: [eof.clone(), eof],
+            at: 0,
+            lex_error: None,
+            program,
+            scope: LocalScope::default(),
+            body: StmtParser::default(),
+            fields: Vec::new(),
+            methods: Vec::new(),
+            joined: String::new(),
+        };
+        p.bump();
+        p.bump();
+        p
     }
 
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
+    /// Lexes the next token into `toks[slot]`. A lexical error is recorded
+    /// and ends the stream: from there on every token is end of input.
+    fn pull(&mut self, slot: usize) {
+        if let Err(e) = self.lexer.next_token(&mut self.toks[slot]) {
+            self.toks[slot] = Spanned {
+                tok: Tok::Eof,
+                line: e.line,
+                col: e.col,
+            };
+            self.lex_error.get_or_insert(e);
+            self.lexer.stop();
+        }
+    }
+
+    /// The file's first lexical error, if it has one. Lexes whatever the
+    /// parse left unread, so that, as when a file was tokenized whole
+    /// before parsing, a lexical error anywhere beats a syntax error.
+    fn take_lex_error(&mut self) -> Option<LexError> {
+        while self.lex_error.is_none() && !self.at_eof() {
+            self.bump();
+        }
+        self.lex_error.take()
+    }
+
+    fn mark(&self) -> Mark<'src> {
+        Mark {
+            lexer: self.lexer,
+            toks: [self.toks[0].clone(), self.toks[1].clone()],
+            at: self.at,
+        }
+    }
+
+    fn reset(&mut self, mark: Mark<'src>) {
+        self.lexer = mark.lexer;
+        self.toks = mark.toks;
+        self.at = mark.at;
+    }
+
+    fn here(&self) -> (u32, u32) {
+        let cur = &self.toks[self.at];
+        (cur.line, cur.col)
+    }
+
+    fn err<T>(&self, msg: impl Into<String>) -> PResult<T> {
         let (line, col) = self.here();
-        Err(ParseError {
+        Err(Box::new(ParseError {
             message: msg.into(),
             line,
             col,
-        })
+        }))
     }
 
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos].tok
+    fn peek(&self) -> &Tok<'src> {
+        &self.toks[self.at].tok
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].tok
+    fn peek2(&self) -> &Tok<'src> {
+        &self.toks[self.at ^ 1].tok
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].tok.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+    /// The identifier (or keyword) at the cursor, if that is one.
+    fn peek_ident(&self) -> Option<&'src str> {
+        match *self.peek() {
+            Tok::Ident(s) => Some(s),
+            _ => None,
         }
-        t
+    }
+
+    /// Moves to the next token; at end of input, stays there.
+    fn bump(&mut self) {
+        let done = self.at;
+        self.at ^= 1;
+        self.pull(done);
     }
 
     fn at_eof(&self) -> bool {
         matches!(self.peek(), Tok::Eof)
     }
 
-    fn expect(&mut self, tok: &Tok) -> Result<(), ParseError> {
-        if self.peek() == tok {
+    /// Consumes `tok`, a punctuation token, or fails naming it.
+    fn expect_tok(&mut self, tok: &Tok<'_>) -> PResult<()> {
+        if std::mem::discriminant(self.peek()) == std::mem::discriminant(tok) {
             self.bump();
             Ok(())
         } else {
@@ -342,76 +458,121 @@ impl<'p> Parser<'p> {
         }
     }
 
-    fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
-        match self.peek() {
-            Tok::Ident(s) if s == kw => {
-                self.bump();
-                Ok(())
-            }
-            other => self.err(format!("expected `{kw}`, found {other}")),
+    fn expect_kw(&mut self, kw: &str) -> PResult<()> {
+        if self.at_kw(kw) {
+            self.bump();
+            Ok(())
+        } else {
+            self.err(format!("expected `{kw}`, found {}", self.peek()))
         }
     }
 
     fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == kw)
+        self.peek_ident() == Some(kw)
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
+    fn ident(&mut self) -> PResult<&'src str> {
+        match self.peek_ident() {
+            Some(s) => {
                 self.bump();
                 Ok(s)
             }
-            other => self.err(format!("expected identifier, found {other}")),
+            None => self.err(format!("expected identifier, found {}", self.peek())),
         }
     }
 
     /// Dotted qualified name: `ident (. ident)*`.
-    fn qname(&mut self) -> Result<String, ParseError> {
-        let mut name = self.ident()?;
-        while matches!(self.peek(), Tok::Dot) {
-            self.bump();
-            name.push('.');
-            name.push_str(&self.ident()?);
-        }
-        Ok(name)
+    fn qname(&mut self) -> PResult<Dotted<'src>> {
+        let first = self.ident()?;
+        self.qname_after(first)
     }
 
-    fn parse_type(&mut self) -> Result<Type, ParseError> {
-        let base = match self.peek().clone() {
-            Tok::Ident(s) => match s.as_str() {
-                "void" => {
-                    self.bump();
-                    Type::Void
-                }
-                "bool" | "boolean" => {
-                    self.bump();
-                    Type::Bool
-                }
-                "int" | "byte" | "short" | "char" => {
-                    self.bump();
-                    Type::Int
-                }
-                "long" => {
-                    self.bump();
-                    Type::Long
-                }
-                "float" => {
-                    self.bump();
-                    Type::Float
-                }
-                "double" => {
-                    self.bump();
-                    Type::Double
-                }
-                _ => {
-                    let name = self.qname()?;
-                    Type::Ref(self.program.intern(&name))
-                }
-            },
-            other => return self.err(format!("expected type, found {other}")),
+    /// The rest of a dotted name whose first segment, `first`, was just
+    /// consumed.
+    fn qname_after(&mut self, first: &'src str) -> PResult<Dotted<'src>> {
+        let start = self.offset(first);
+        let (mut last, mut segments, mut init_end) = (first, 1, start);
+        let mut adjacent = true;
+        while matches!(self.peek(), Tok::Dot) {
+            self.bump();
+            let seg = self.ident()?;
+            let end = self.offset(last) + last.len();
+            // One byte between two segments can only be the dot.
+            adjacent &= self.offset(seg) == end + 1;
+            (init_end, last, segments) = (end, seg, segments + 1);
+        }
+        Ok(Dotted {
+            text: &self.src[start..self.offset(last) + last.len()],
+            first,
+            last,
+            segments,
+            init_len: init_end - start,
+            adjacent,
+        })
+    }
+
+    /// Byte offset of `s`, a slice of the source, within it.
+    fn offset(&self, s: &str) -> usize {
+        s.as_ptr() as usize - self.src.as_ptr() as usize
+    }
+
+    /// Joins the segments of a dotted name's source `text` into `out`,
+    /// dropping the whitespace and comments around its dots.
+    fn join_segments(text: &'src str, out: &mut String) {
+        out.clear();
+        for seg in lex(text).iter().flatten().filter_map(|t| match t.tok {
+            Tok::Ident(seg) => Some(seg),
+            _ => None,
+        }) {
+            if !out.is_empty() {
+                out.push('.');
+            }
+            out.push_str(seg);
+        }
+    }
+
+    /// Interns a dotted name from [`Dotted::name`] or [`Dotted::init`].
+    /// When its tokens sit next to each other in the source, the source
+    /// slice *is* the name; otherwise the segments are joined in a reused
+    /// buffer.
+    fn intern_dotted(&mut self, (text, adjacent): (&'src str, bool)) -> crate::Symbol {
+        if adjacent {
+            return self.program.intern(text);
+        }
+        Self::join_segments(text, &mut self.joined);
+        self.program.intern(&self.joined)
+    }
+
+    /// A dotted name as text, for messages.
+    fn dotted_text(&self, name: Dotted<'src>) -> String {
+        let mut out = String::new();
+        Self::join_segments(name.text, &mut out);
+        out
+    }
+
+    fn parse_type(&mut self) -> PResult<Type> {
+        let Some(word) = self.peek_ident() else {
+            return self.err(format!("expected type, found {}", self.peek()));
         };
-        let mut ty = base;
+        let primitive = match word {
+            "void" => Some(Type::Void),
+            "bool" | "boolean" => Some(Type::Bool),
+            "int" | "byte" | "short" | "char" => Some(Type::Int),
+            "long" => Some(Type::Long),
+            "float" => Some(Type::Float),
+            "double" => Some(Type::Double),
+            _ => None,
+        };
+        let mut ty = match primitive {
+            Some(ty) => {
+                self.bump();
+                ty
+            }
+            None => {
+                let name = self.qname()?;
+                Type::Ref(self.intern_dotted(name.name()))
+            }
+        };
         while matches!(self.peek(), Tok::LBracket) && matches!(self.peek2(), Tok::RBracket) {
             self.bump();
             self.bump();
@@ -420,8 +581,21 @@ impl<'p> Parser<'p> {
         Ok(ty)
     }
 
-    fn parse_class(&mut self) -> Result<Class, ParseError> {
-        self.parse_class_with(None)
+    /// Parses classes to the end of input, adding each to the program and
+    /// stopping at the first error.
+    fn parse_classes(&mut self) -> PResult<()> {
+        while !self.at_eof() {
+            let class = self.parse_class_with(None)?;
+            let (line, col) = self.here();
+            self.program.add_class(class).map_err(|e: ProgramError| {
+                Box::new(ParseError {
+                    message: e.to_string(),
+                    line,
+                    col,
+                })
+            })?;
+        }
+        Ok(())
     }
 
     /// Skips past a malformed class member, leaving the class's own closing
@@ -471,8 +645,8 @@ impl<'p> Parser<'p> {
     /// Resynchronizes after a failed class parse: rewinds to `start` and
     /// skips forward to the next top-level `class`/`interface` keyword
     /// (brace depth 0) or end of input, consuming at least one token.
-    fn recover_to_class(&mut self, start: usize) {
-        self.pos = start;
+    fn recover_to_class(&mut self, start: Mark<'src>) {
+        self.reset(start);
         let mut depth = 0usize;
         let mut first = true;
         loop {
@@ -492,45 +666,51 @@ impl<'p> Parser<'p> {
         }
     }
 
+    /// Parses a comma-separated list of dotted names, interning each.
+    fn parse_names(&mut self, into: &mut Vec<crate::Symbol>) -> PResult<()> {
+        loop {
+            let name = self.qname()?;
+            into.push(self.intern_dotted(name.name()));
+            if matches!(self.peek(), Tok::Comma) {
+                self.bump();
+            } else {
+                return Ok(());
+            }
+        }
+    }
+
     /// Parses one class. With `recovery` set, a malformed member records a
     /// diagnostic and drops only that member (resynchronizing on `;` /
     /// balanced braces); header and class-assembly errors still propagate
     /// so the caller can drop the whole class.
-    fn parse_class_with(
-        &mut self,
-        mut recovery: Option<&mut Recovery>,
-    ) -> Result<Class, ParseError> {
-        let is_interface = if self.at_kw("class") {
-            self.bump();
-            false
-        } else if self.at_kw("interface") {
-            self.bump();
-            true
-        } else {
-            return self.err(format!(
-                "expected `class` or `interface`, found {}",
-                self.peek()
-            ));
+    fn parse_class_with(&mut self, mut recovery: Option<&mut Recovery>) -> PResult<Class> {
+        let is_interface = match self.peek_ident() {
+            Some("class") => false,
+            Some("interface") => true,
+            _ => {
+                return self.err(format!(
+                    "expected `class` or `interface`, found {}",
+                    self.peek()
+                ))
+            }
         };
+        self.bump();
         let mut flags = ClassFlags::PUBLIC;
         if is_interface {
             flags |= ClassFlags::INTERFACE | ClassFlags::ABSTRACT;
         }
         // Optional modifiers between keyword and name.
         loop {
-            if self.at_kw("final") {
-                self.bump();
-                flags |= ClassFlags::FINAL;
-            } else if self.at_kw("abstract") {
-                self.bump();
-                flags |= ClassFlags::ABSTRACT;
-            } else {
-                break;
+            match self.peek_ident() {
+                Some("final") => flags |= ClassFlags::FINAL,
+                Some("abstract") => flags |= ClassFlags::ABSTRACT,
+                _ => break,
             }
+            self.bump();
         }
-        let name_str = self.qname()?;
-        let name = self.program.intern(&name_str);
-        let mut superclass = if is_interface || name_str == "java.lang.Object" {
+        let qname = self.qname()?;
+        let name = self.intern_dotted(qname.name());
+        let mut superclass = if is_interface || self.program.str(name) == "java.lang.Object" {
             None
         } else {
             Some(self.program.intern("java.lang.Object"))
@@ -539,53 +719,37 @@ impl<'p> Parser<'p> {
         if self.at_kw("extends") {
             self.bump();
             if is_interface {
-                loop {
-                    let n = self.qname()?;
-                    interfaces.push(self.program.intern(&n));
-                    if matches!(self.peek(), Tok::Comma) {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
+                self.parse_names(&mut interfaces)?;
             } else {
                 let n = self.qname()?;
-                superclass = Some(self.program.intern(&n));
+                superclass = Some(self.intern_dotted(n.name()));
             }
         }
         if self.at_kw("implements") {
             self.bump();
-            loop {
-                let n = self.qname()?;
-                interfaces.push(self.program.intern(&n));
-                if matches!(self.peek(), Tok::Comma) {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
+            self.parse_names(&mut interfaces)?;
         }
-        self.expect(&Tok::LBrace)?;
-        let mut fields = Vec::new();
-        let mut methods = Vec::new();
+        self.expect_tok(&Tok::LBrace)?;
+        // A class dropped part way leaves members behind.
+        self.fields.clear();
+        self.methods.clear();
         while !matches!(self.peek(), Tok::RBrace | Tok::Eof) {
-            let member_start = self.pos;
-            let outcome = if self.at_kw("field") {
-                self.parse_field().map(|f| fields.push(f))
-            } else if self.at_kw("method") {
-                self.parse_method(name).map(|m| methods.push(m))
-            } else {
-                self.err(format!(
+            let member_start = self.mark();
+            let kind = self.peek_ident();
+            let outcome = match kind {
+                Some("field") => self.parse_field().map(|f| self.fields.push(f)),
+                Some("method") => self.parse_method(name).map(|m| self.methods.push(m)),
+                _ => self.err(format!(
                     "expected `field` or `method`, found {}",
                     self.peek()
-                ))
+                )),
             };
             if let Err(e) = outcome {
                 match recovery.as_deref_mut() {
                     Some(rec) => {
-                        let dropped = match self.tokens[member_start].tok {
-                            Tok::Ident(ref s) if s == "field" => "field",
-                            Tok::Ident(ref s) if s == "method" => "method",
+                        let dropped = match kind {
+                            Some("field") => "field",
+                            Some("method") => "method",
                             _ => "member",
                         };
                         rec.diagnostics.push(ParseDiagnostic {
@@ -594,87 +758,98 @@ impl<'p> Parser<'p> {
                             col: e.col,
                             dropped: dropped.to_owned(),
                         });
-                        self.pos = member_start;
+                        self.reset(member_start);
                         self.skip_member();
                     }
                     None => return Err(e),
                 }
             }
         }
-        self.expect(&Tok::RBrace)?;
+        self.expect_tok(&Tok::RBrace)?;
+        // Draining sizes the class's vectors exactly and keeps the
+        // scratch allocations for the next class.
         Ok(Class {
             name,
             superclass,
             interfaces,
             flags,
-            fields,
-            methods,
+            fields: self.fields.drain(..).collect(),
+            methods: self.methods.drain(..).collect(),
         })
     }
 
-    #[allow(clippy::while_let_loop)] // the loop exits from two depths; while-let obscures that
-    fn parse_field(&mut self) -> Result<Field, ParseError> {
+    fn parse_field(&mut self) -> PResult<Field> {
         self.expect_kw("field")?;
         let mut flags = FieldFlags::empty();
         loop {
-            match self.peek() {
-                Tok::Ident(s) => match s.as_str() {
-                    "public" => flags |= FieldFlags::PUBLIC,
-                    "protected" => flags |= FieldFlags::PROTECTED,
-                    "private" => flags |= FieldFlags::PRIVATE,
-                    "static" => flags |= FieldFlags::STATIC,
-                    "final" => flags |= FieldFlags::FINAL,
-                    _ => break,
-                },
+            match self.peek_ident() {
+                Some("public") => flags |= FieldFlags::PUBLIC,
+                Some("protected") => flags |= FieldFlags::PROTECTED,
+                Some("private") => flags |= FieldFlags::PRIVATE,
+                Some("static") => flags |= FieldFlags::STATIC,
+                Some("final") => flags |= FieldFlags::FINAL,
                 _ => break,
             }
             self.bump();
         }
         let ty = self.parse_type()?;
         let name = self.ident()?;
-        let name = self.program.intern(&name);
-        self.expect(&Tok::Semi)?;
+        let name = self.program.intern(name);
+        self.expect_tok(&Tok::Semi)?;
         Ok(Field { name, ty, flags })
     }
 
-    #[allow(clippy::while_let_loop)] // same shape as parse_field
-    fn parse_method(&mut self, class_name: crate::Symbol) -> Result<Method, ParseError> {
+    fn parse_method(&mut self, class_name: crate::Symbol) -> PResult<Method> {
+        let mut scope = std::mem::take(&mut self.scope);
+        let mut body = std::mem::take(&mut self.body);
+        let method = self.parse_method_in(class_name, &mut scope, &mut body);
+        scope.by_name.clear();
+        scope.decls.clear();
+        body.stmts.clear();
+        body.labels.clear();
+        body.fixups.clear();
+        (self.scope, self.body) = (scope, body);
+        method
+    }
+
+    /// [`Parser::parse_method`] with its tables, empty on entry.
+    fn parse_method_in(
+        &mut self,
+        class_name: crate::Symbol,
+        scope: &mut LocalScope<'src>,
+        st: &mut StmtParser<'src>,
+    ) -> PResult<Method> {
         self.expect_kw("method")?;
         let mut flags = MethodFlags::empty();
         loop {
-            match self.peek() {
-                Tok::Ident(s) => match s.as_str() {
-                    "public" => flags |= MethodFlags::PUBLIC,
-                    "protected" => flags |= MethodFlags::PROTECTED,
-                    "private" => flags |= MethodFlags::PRIVATE,
-                    "static" => flags |= MethodFlags::STATIC,
-                    "final" => flags |= MethodFlags::FINAL,
-                    "native" => flags |= MethodFlags::NATIVE,
-                    "abstract" => flags |= MethodFlags::ABSTRACT,
-                    "synchronized" => flags |= MethodFlags::SYNCHRONIZED,
-                    _ => break,
-                },
+            match self.peek_ident() {
+                Some("public") => flags |= MethodFlags::PUBLIC,
+                Some("protected") => flags |= MethodFlags::PROTECTED,
+                Some("private") => flags |= MethodFlags::PRIVATE,
+                Some("static") => flags |= MethodFlags::STATIC,
+                Some("final") => flags |= MethodFlags::FINAL,
+                Some("native") => flags |= MethodFlags::NATIVE,
+                Some("abstract") => flags |= MethodFlags::ABSTRACT,
+                Some("synchronized") => flags |= MethodFlags::SYNCHRONIZED,
                 _ => break,
             }
             self.bump();
         }
         let ret = self.parse_type()?;
         let name = self.ident()?;
-        let name = self.program.intern(&name);
-        self.expect(&Tok::LParen)?;
-        let mut scope = LocalScope::new();
+        let name = self.program.intern(name);
+        self.expect_tok(&Tok::LParen)?;
         if !flags.contains(MethodFlags::STATIC) {
             let this = self.program.intern("this");
             scope.add("this", this, Type::Ref(class_name));
         }
-        let mut params = Vec::new();
+        let first_param = scope.decls.len();
         if !matches!(self.peek(), Tok::RParen) {
             loop {
                 let ty = self.parse_type()?;
                 let pname = self.ident()?;
-                let sym = self.program.intern(&pname);
-                params.push(ty.clone());
-                if scope.add(&pname, sym, ty).is_none() {
+                let sym = self.program.intern(pname);
+                if scope.add(pname, sym, ty).is_none() {
                     return self.err(format!("duplicate parameter `{pname}`"));
                 }
                 if matches!(self.peek(), Tok::Comma) {
@@ -684,8 +859,12 @@ impl<'p> Parser<'p> {
                 }
             }
         }
-        self.expect(&Tok::RParen)?;
+        self.expect_tok(&Tok::RParen)?;
         let n_params = scope.decls.len();
+        let params: Vec<Type> = scope.decls[first_param..]
+            .iter()
+            .map(|d| d.ty.clone())
+            .collect();
         if matches!(self.peek(), Tok::Semi) {
             self.bump();
             if !flags.contains(MethodFlags::NATIVE) && !flags.contains(MethodFlags::ABSTRACT) {
@@ -699,7 +878,7 @@ impl<'p> Parser<'p> {
                 body: None,
             });
         }
-        let body = self.parse_body(scope, n_params)?;
+        let body = self.parse_body(scope, st, n_params)?;
         Ok(Method {
             name,
             params,
@@ -709,16 +888,21 @@ impl<'p> Parser<'p> {
         })
     }
 
-    fn parse_body(&mut self, mut scope: LocalScope, n_params: usize) -> Result<Body, ParseError> {
-        self.expect(&Tok::LBrace)?;
+    fn parse_body(
+        &mut self,
+        scope: &mut LocalScope<'src>,
+        st: &mut StmtParser<'src>,
+        n_params: usize,
+    ) -> PResult<Body> {
+        self.expect_tok(&Tok::LBrace)?;
         // Local declarations first.
         while self.at_kw("local") {
             self.bump();
             let ty = self.parse_type()?;
             loop {
                 let lname = self.ident()?;
-                let sym = self.program.intern(&lname);
-                if scope.add(&lname, sym, ty.clone()).is_none() {
+                let sym = self.program.intern(lname);
+                if scope.add(lname, sym, ty.clone()).is_none() {
                     return self.err(format!("duplicate local `{lname}`"));
                 }
                 if matches!(self.peek(), Tok::Comma) {
@@ -727,25 +911,20 @@ impl<'p> Parser<'p> {
                     break;
                 }
             }
-            self.expect(&Tok::Semi)?;
+            self.expect_tok(&Tok::Semi)?;
         }
-        let mut st = StmtParser {
-            stmts: Vec::new(),
-            labels: HashMap::new(),
-            fixups: Vec::new(),
-        };
         while !matches!(self.peek(), Tok::RBrace) {
-            self.parse_stmt(&scope, &mut st)?;
+            self.parse_stmt(scope, st)?;
         }
-        self.expect(&Tok::RBrace)?;
+        self.expect_tok(&Tok::RBrace)?;
         // Resolve label fixups.
-        for (idx, lname, line, col) in st.fixups {
-            let Some(&target) = st.labels.get(&lname) else {
-                return Err(ParseError {
+        for &(idx, lname, line, col) in &st.fixups {
+            let Some(&target) = st.labels.get(lname) else {
+                return Err(Box::new(ParseError {
                     message: format!("undefined label `{lname}`"),
                     line,
                     col,
-                });
+                }));
             };
             match &mut st.stmts[idx] {
                 Stmt::If { target: t, .. } | Stmt::Goto { target: t } => *t = target,
@@ -760,98 +939,99 @@ impl<'p> Parser<'p> {
         if needs_pad {
             st.stmts.push(Stmt::Return { value: None });
         }
+        // Draining into fresh vectors sizes them exactly and keeps the
+        // tables' allocations for the next method.
         Ok(Body {
-            locals: scope.decls,
+            locals: scope.decls.drain(..).collect(),
             n_params,
-            stmts: st.stmts,
+            stmts: st.stmts.drain(..).collect(),
         })
     }
 
-    fn parse_stmt(&mut self, scope: &LocalScope, st: &mut StmtParser) -> Result<(), ParseError> {
+    /// Parses `goto LABEL`'s label and records the fixup for `stmt`, the
+    /// branch being pushed, whose target is patched once labels are known.
+    fn branch(&mut self, st: &mut StmtParser<'src>, stmt: Stmt) -> PResult<()> {
+        let lname = self.ident()?;
+        let (line, col) = self.here();
+        st.fixups.push((st.stmts.len(), lname, line, col));
+        st.stmts.push(stmt);
+        self.expect_tok(&Tok::Semi)
+    }
+
+    fn parse_stmt(&mut self, scope: &LocalScope<'src>, st: &mut StmtParser<'src>) -> PResult<()> {
+        let word = self.peek_ident();
         // Label binding: IDENT ':'
-        if matches!(self.peek(), Tok::Ident(_)) && matches!(self.peek2(), Tok::Colon) {
-            let lname = self.ident()?;
+        if let (Some(lname), Tok::Colon) = (word, self.peek2()) {
+            self.bump();
             self.bump(); // colon
-            if st.labels.insert(lname.clone(), st.stmts.len()).is_some() {
+            if st.labels.insert(lname, st.stmts.len()).is_some() {
                 return self.err(format!("label `{lname}` bound twice"));
             }
             return Ok(());
         }
-        if self.at_kw("privileged") {
+        let simple = match word {
+            Some("nop") => Some(Stmt::Nop),
+            Some("enterpriv") => Some(Stmt::EnterPriv),
+            Some("exitpriv") => Some(Stmt::ExitPriv),
+            _ => None,
+        };
+        if let Some(stmt) = simple {
             self.bump();
-            self.expect(&Tok::LBrace)?;
-            st.stmts.push(Stmt::EnterPriv);
-            while !matches!(self.peek(), Tok::RBrace) {
-                self.parse_stmt(scope, st)?;
+            self.expect_tok(&Tok::Semi)?;
+            st.stmts.push(stmt);
+            return Ok(());
+        }
+        match word {
+            Some("privileged") => {
+                self.bump();
+                self.expect_tok(&Tok::LBrace)?;
+                st.stmts.push(Stmt::EnterPriv);
+                while !matches!(self.peek(), Tok::RBrace) {
+                    self.parse_stmt(scope, st)?;
+                }
+                self.expect_tok(&Tok::RBrace)?;
+                st.stmts.push(Stmt::ExitPriv);
+                return Ok(());
             }
-            self.expect(&Tok::RBrace)?;
-            st.stmts.push(Stmt::ExitPriv);
-            return Ok(());
-        }
-        if self.at_kw("nop") {
-            self.bump();
-            self.expect(&Tok::Semi)?;
-            st.stmts.push(Stmt::Nop);
-            return Ok(());
-        }
-        if self.at_kw("enterpriv") {
-            self.bump();
-            self.expect(&Tok::Semi)?;
-            st.stmts.push(Stmt::EnterPriv);
-            return Ok(());
-        }
-        if self.at_kw("exitpriv") {
-            self.bump();
-            self.expect(&Tok::Semi)?;
-            st.stmts.push(Stmt::ExitPriv);
-            return Ok(());
-        }
-        if self.at_kw("goto") {
-            self.bump();
-            let lname = self.ident()?;
-            let (line, col) = self.here();
-            st.fixups.push((st.stmts.len(), lname, line, col));
-            st.stmts.push(Stmt::Goto { target: usize::MAX });
-            self.expect(&Tok::Semi)?;
-            return Ok(());
-        }
-        if self.at_kw("return") {
-            self.bump();
-            let value = if matches!(self.peek(), Tok::Semi) {
-                None
-            } else {
-                Some(self.parse_operand(scope)?)
-            };
-            self.expect(&Tok::Semi)?;
-            st.stmts.push(Stmt::Return { value });
-            return Ok(());
-        }
-        if self.at_kw("throw") {
-            self.bump();
-            let value = self.parse_operand(scope)?;
-            self.expect(&Tok::Semi)?;
-            st.stmts.push(Stmt::Throw { value });
-            return Ok(());
-        }
-        if self.at_kw("if") {
-            self.bump();
-            let cond = self.parse_cond(scope)?;
-            self.expect_kw("goto")?;
-            let lname = self.ident()?;
-            let (line, col) = self.here();
-            st.fixups.push((st.stmts.len(), lname, line, col));
-            st.stmts.push(Stmt::If {
-                cond,
-                target: usize::MAX,
-            });
-            self.expect(&Tok::Semi)?;
-            return Ok(());
-        }
-        if self.at_invoke_kw() {
-            let (dst, call) = (None, self.parse_invoke(scope)?);
-            self.expect(&Tok::Semi)?;
-            st.stmts.push(Stmt::Invoke { dst, call });
-            return Ok(());
+            Some("goto") => {
+                self.bump();
+                return self.branch(st, Stmt::Goto { target: usize::MAX });
+            }
+            Some("return") => {
+                self.bump();
+                let value = if matches!(self.peek(), Tok::Semi) {
+                    None
+                } else {
+                    Some(self.parse_operand(scope)?)
+                };
+                self.expect_tok(&Tok::Semi)?;
+                st.stmts.push(Stmt::Return { value });
+                return Ok(());
+            }
+            Some("throw") => {
+                self.bump();
+                let value = self.parse_operand(scope)?;
+                self.expect_tok(&Tok::Semi)?;
+                st.stmts.push(Stmt::Throw { value });
+                return Ok(());
+            }
+            Some("if") => {
+                self.bump();
+                let cond = self.parse_cond(scope)?;
+                self.expect_kw("goto")?;
+                let stmt = Stmt::If {
+                    cond,
+                    target: usize::MAX,
+                };
+                return self.branch(st, stmt);
+            }
+            Some(w) if invoke_kind(w).is_some() => {
+                let call = self.parse_invoke(scope)?;
+                self.expect_tok(&Tok::Semi)?;
+                st.stmts.push(Stmt::Invoke { dst: None, call });
+                return Ok(());
+            }
+            _ => {}
         }
         // Remaining forms start with an identifier chain:
         //   x = expr;              (x local)
@@ -859,108 +1039,97 @@ impl<'p> Parser<'p> {
         //   pkg.Class.f = op;      (static store)
         //   x[i] = op;             (array store)
         let first = self.ident()?;
-        if matches!(self.peek(), Tok::LBracket) {
-            // array store
-            let Some(&(array, _)) = scope.get(&first) else {
-                return self.err(format!("unknown local `{first}`"));
-            };
-            self.bump();
-            let index = self.parse_operand(scope)?;
-            self.expect(&Tok::RBracket)?;
-            self.expect(&Tok::Assign)?;
-            let value = self.parse_operand(scope)?;
-            self.expect(&Tok::Semi)?;
-            st.stmts.push(Stmt::ArrayStore {
-                array,
-                index,
-                value,
-            });
-            return Ok(());
-        }
-        if matches!(self.peek(), Tok::Assign) {
-            // simple assignment to local
-            let Some(&(dst, _)) = scope.get(&first) else {
-                return self.err(format!("unknown local `{first}`"));
-            };
-            self.bump();
-            let value = self.parse_expr(scope)?;
-            self.expect(&Tok::Semi)?;
-            match value {
-                ParsedExpr::Plain(e) => st.stmts.push(Stmt::Assign { dst, value: e }),
-                ParsedExpr::Invoke(call) => st.stmts.push(Stmt::Invoke {
-                    dst: Some(dst),
-                    call,
-                }),
-            }
-            return Ok(());
-        }
-        if matches!(self.peek(), Tok::Dot) {
-            // field store (instance or static)
-            let mut segs = vec![first];
-            while matches!(self.peek(), Tok::Dot) {
+        match self.peek() {
+            Tok::LBracket => {
+                // array store
+                let Some(&(array, _)) = scope.get(first) else {
+                    return self.err(format!("unknown local `{first}`"));
+                };
                 self.bump();
-                segs.push(self.ident()?);
+                let index = self.parse_operand(scope)?;
+                self.expect_tok(&Tok::RBracket)?;
+                self.expect_tok(&Tok::Assign)?;
+                let value = self.parse_operand(scope)?;
+                self.expect_tok(&Tok::Semi)?;
+                st.stmts.push(Stmt::ArrayStore {
+                    array,
+                    index,
+                    value,
+                });
+                Ok(())
             }
-            self.expect(&Tok::Assign)?;
-            let value = self.parse_operand(scope)?;
-            self.expect(&Tok::Semi)?;
-            let target = self.field_target(scope, &segs)?;
-            st.stmts.push(Stmt::FieldStore { target, value });
-            return Ok(());
+            Tok::Assign => {
+                // simple assignment to local
+                let Some(&(dst, _)) = scope.get(first) else {
+                    return self.err(format!("unknown local `{first}`"));
+                };
+                self.bump();
+                let value = self.parse_expr(scope)?;
+                self.expect_tok(&Tok::Semi)?;
+                st.stmts.push(match value {
+                    ParsedExpr::Plain(e) => Stmt::Assign { dst, value: e },
+                    ParsedExpr::Invoke(call) => Stmt::Invoke {
+                        dst: Some(dst),
+                        call,
+                    },
+                });
+                Ok(())
+            }
+            Tok::Dot => {
+                // field store (instance or static)
+                let path = self.qname_after(first)?;
+                self.expect_tok(&Tok::Assign)?;
+                let value = self.parse_operand(scope)?;
+                self.expect_tok(&Tok::Semi)?;
+                let target = self.field_target(scope, path)?;
+                st.stmts.push(Stmt::FieldStore { target, value });
+                Ok(())
+            }
+            _ => self.err(format!("unexpected token {} in statement", self.peek())),
         }
-        self.err(format!("unexpected token {} in statement", self.peek()))
     }
 
     /// Builds a [`FieldTarget`] from a dotted segment chain.
     fn field_target(
         &mut self,
-        scope: &LocalScope,
-        segs: &[String],
-    ) -> Result<FieldTarget, ParseError> {
-        if segs.len() == 2 {
-            if let Some((recv, ty)) = scope.get(&segs[0]) {
+        scope: &LocalScope<'src>,
+        path: Dotted<'src>,
+    ) -> PResult<FieldTarget> {
+        let head = path.first;
+        let local = scope.get(head);
+        if path.segments == 2 {
+            if let Some((recv, ty)) = local {
                 let Some(class) = ty.class_name() else {
-                    return self.err(format!(
-                        "field access on local `{}` of non-class type",
-                        segs[0]
-                    ));
+                    return self.err(format!("field access on local `{head}` of non-class type"));
                 };
-                let name = self.program.intern(&segs[1]);
+                let name = self.program.intern(path.last);
                 return Ok(FieldTarget::Instance(*recv, FieldRef { class, name }));
             }
         }
-        if segs.len() >= 2 && scope.get(&segs[0]).is_none() {
-            let class_str = segs[..segs.len() - 1].join(".");
-            let class = self.program.intern(&class_str);
-            let name = self.program.intern(&segs[segs.len() - 1]);
+        if path.segments >= 2 && local.is_none() {
+            let class = self.intern_dotted(path.init());
+            let name = self.program.intern(path.last);
             return Ok(FieldTarget::Static(FieldRef { class, name }));
         }
-        self.err(format!("cannot resolve field access `{}`", segs.join(".")))
+        self.err(format!(
+            "cannot resolve field access `{}`",
+            self.dotted_text(path)
+        ))
     }
 
-    fn at_invoke_kw(&self) -> bool {
-        self.at_kw("virtualinvoke")
-            || self.at_kw("specialinvoke")
-            || self.at_kw("staticinvoke")
-            || self.at_kw("interfaceinvoke")
-    }
-
-    fn parse_invoke(&mut self, scope: &LocalScope) -> Result<Call, ParseError> {
-        let kind = match self.ident()?.as_str() {
-            "virtualinvoke" => InvokeKind::Virtual,
-            "specialinvoke" => InvokeKind::Special,
-            "staticinvoke" => InvokeKind::Static,
-            "interfaceinvoke" => InvokeKind::Interface,
-            other => return self.err(format!("unknown invoke kind `{other}`")),
+    fn parse_invoke(&mut self, scope: &LocalScope<'src>) -> PResult<Call> {
+        let word = self.ident()?;
+        let Some(kind) = invoke_kind(word) else {
+            return self.err(format!("unknown invoke kind `{word}`"));
         };
         if kind == InvokeKind::Static {
             // staticinvoke pkg.Class.name(args)
-            let qn = self.qname()?;
-            let Some(dot) = qn.rfind('.') else {
+            let path = self.qname()?;
+            if path.segments < 2 {
                 return self.err("static invoke needs `Class.method`");
-            };
-            let class = self.program.intern(&qn[..dot]);
-            let name = self.program.intern(&qn[dot + 1..]);
+            }
+            let class = self.intern_dotted(path.init());
+            let name = self.program.intern(path.last);
             let args = self.parse_args(scope)?;
             return Ok(Call {
                 kind,
@@ -975,15 +1144,15 @@ impl<'p> Parser<'p> {
         }
         // recv.name(args); callee class = receiver's declared type.
         let recv_name = self.ident()?;
-        let Some((recv, ty)) = scope.get(&recv_name).map(|(l, t)| (*l, t.clone())) else {
+        let Some(&(recv, ref ty)) = scope.get(recv_name) else {
             return self.err(format!("unknown receiver local `{recv_name}`"));
         };
         let Some(class) = ty.class_name() else {
             return self.err(format!("receiver `{recv_name}` has non-class type"));
         };
-        self.expect(&Tok::Dot)?;
+        self.expect_tok(&Tok::Dot)?;
         let mname = self.ident()?;
-        let name = self.program.intern(&mname);
+        let name = self.program.intern(mname);
         let args = self.parse_args(scope)?;
         Ok(Call {
             kind,
@@ -997,10 +1166,12 @@ impl<'p> Parser<'p> {
         })
     }
 
-    fn parse_args(&mut self, scope: &LocalScope) -> Result<Vec<Operand>, ParseError> {
-        self.expect(&Tok::LParen)?;
+    fn parse_args(&mut self, scope: &LocalScope<'src>) -> PResult<Vec<Operand>> {
+        self.expect_tok(&Tok::LParen)?;
         let mut args = Vec::new();
         if !matches!(self.peek(), Tok::RParen) {
+            // Most calls pass one argument.
+            args.reserve_exact(1);
             loop {
                 args.push(self.parse_operand(scope)?);
                 if matches!(self.peek(), Tok::Comma) {
@@ -1010,66 +1181,49 @@ impl<'p> Parser<'p> {
                 }
             }
         }
-        self.expect(&Tok::RParen)?;
+        self.expect_tok(&Tok::RParen)?;
         Ok(args)
     }
 
-    fn parse_operand(&mut self, scope: &LocalScope) -> Result<Operand, ParseError> {
-        match self.peek().clone() {
-            Tok::Int(v) => {
-                self.bump();
-                Ok(Operand::Const(Const::Int(v)))
-            }
+    fn parse_operand(&mut self, scope: &LocalScope<'src>) -> PResult<Operand> {
+        let constant = match &self.toks[self.at].tok {
+            Tok::Int(v) => Const::Int(*v),
             Tok::Minus => {
                 self.bump();
-                match self.peek().clone() {
+                return match *self.peek() {
                     Tok::Int(v) => {
                         self.bump();
                         Ok(Operand::Const(Const::Int(-v)))
                     }
-                    other => self.err(format!("expected integer after `-`, found {other}")),
-                }
+                    ref other => self.err(format!("expected integer after `-`, found {other}")),
+                };
             }
-            Tok::Str(s) => {
-                self.bump();
-                let sym = self.program.intern(&s);
-                Ok(Operand::Const(Const::Str(sym)))
+            Tok::Str(s) => Const::Str(self.program.intern(s)),
+            Tok::Ident("null") => Const::Null,
+            Tok::Ident("true") => Const::Bool(true),
+            Tok::Ident("false") => Const::Bool(false),
+            &Tok::Ident(s) => {
+                // Could be a local or a class literal `pkg.Class.class`.
+                // A local followed by a dot is still consumed as the
+                // local; the caller errors on the stray dot.
+                if let Some(&(id, _)) = scope.get(s) {
+                    self.bump();
+                    return Ok(Operand::Local(id));
+                }
+                let path = self.qname()?;
+                if path.segments < 2 || path.last != "class" {
+                    return self.err(format!("unknown operand `{}`", self.dotted_text(path)));
+                }
+                let class = self.intern_dotted(path.init());
+                return Ok(Operand::Const(Const::Class(class)));
             }
-            Tok::Ident(s) => match s.as_str() {
-                "null" => {
-                    self.bump();
-                    Ok(Operand::Const(Const::Null))
-                }
-                "true" => {
-                    self.bump();
-                    Ok(Operand::Const(Const::Bool(true)))
-                }
-                "false" => {
-                    self.bump();
-                    Ok(Operand::Const(Const::Bool(false)))
-                }
-                _ => {
-                    // Could be a local or a class literal `pkg.Class.class`.
-                    // A local followed by a dot is still consumed as the
-                    // local; the caller errors on the stray dot.
-                    if let Some(&(id, _)) = scope.get(&s) {
-                        self.bump();
-                        return Ok(Operand::Local(id));
-                    }
-                    let qn = self.qname()?;
-                    if let Some(stripped) = qn.strip_suffix(".class") {
-                        let sym = self.program.intern(stripped);
-                        Ok(Operand::Const(Const::Class(sym)))
-                    } else {
-                        self.err(format!("unknown operand `{qn}`"))
-                    }
-                }
-            },
-            other => self.err(format!("expected operand, found {other}")),
-        }
+            other => return self.err(format!("expected operand, found {other}")),
+        };
+        self.bump();
+        Ok(Operand::Const(constant))
     }
 
-    fn parse_cond(&mut self, scope: &LocalScope) -> Result<Cond, ParseError> {
+    fn parse_cond(&mut self, scope: &LocalScope<'src>) -> PResult<Cond> {
         if matches!(self.peek(), Tok::Bang) {
             self.bump();
             let op = self.parse_operand(scope)?;
@@ -1095,78 +1249,74 @@ impl<'p> Parser<'p> {
         }
     }
 
-    fn parse_expr(&mut self, scope: &LocalScope) -> Result<ParsedExpr, ParseError> {
-        if self.at_invoke_kw() {
-            return Ok(ParsedExpr::Invoke(self.parse_invoke(scope)?));
+    fn parse_expr(&mut self, scope: &LocalScope<'src>) -> PResult<ParsedExpr> {
+        match self.peek_ident() {
+            Some(w) if invoke_kind(w).is_some() => {
+                return Ok(ParsedExpr::Invoke(self.parse_invoke(scope)?));
+            }
+            Some("new") => {
+                self.bump();
+                let path = self.qname()?;
+                let sym = self.intern_dotted(path.name());
+                return Ok(ParsedExpr::Plain(Expr::New(sym)));
+            }
+            Some("newarray") => {
+                self.bump();
+                let elem = self.parse_type()?;
+                self.expect_tok(&Tok::LBracket)?;
+                let len = self.parse_operand(scope)?;
+                self.expect_tok(&Tok::RBracket)?;
+                return Ok(ParsedExpr::Plain(Expr::NewArray { elem, len }));
+            }
+            _ => {}
         }
-        if self.at_kw("new") {
-            self.bump();
-            let qn = self.qname()?;
-            let sym = self.program.intern(&qn);
-            return Ok(ParsedExpr::Plain(Expr::New(sym)));
-        }
-        if self.at_kw("newarray") {
-            self.bump();
-            let elem = self.parse_type()?;
-            self.expect(&Tok::LBracket)?;
-            let len = self.parse_operand(scope)?;
-            self.expect(&Tok::RBracket)?;
-            return Ok(ParsedExpr::Plain(Expr::NewArray { elem, len }));
-        }
-        if matches!(self.peek(), Tok::LParen) {
-            // cast: (type) operand
-            self.bump();
-            let ty = self.parse_type()?;
-            self.expect(&Tok::RParen)?;
-            let operand = self.parse_operand(scope)?;
-            return Ok(ParsedExpr::Plain(Expr::Cast { ty, operand }));
-        }
-        if matches!(self.peek(), Tok::Bang) {
-            self.bump();
-            let operand = self.parse_operand(scope)?;
-            return Ok(ParsedExpr::Plain(Expr::Unary {
-                op: crate::UnOp::Not,
-                operand,
-            }));
-        }
-        if matches!(self.peek(), Tok::Minus) && matches!(self.peek2(), Tok::Ident(_)) {
-            self.bump();
-            let operand = self.parse_operand(scope)?;
-            return Ok(ParsedExpr::Plain(Expr::Unary {
-                op: crate::UnOp::Neg,
-                operand,
-            }));
-        }
-        // Identifier chains: field load / array load / plain operand ± binop.
-        if let Tok::Ident(first) = self.peek().clone() {
-            let is_local = scope.get(&first).is_some();
-            let next_is_dot = matches!(self.peek2(), Tok::Dot);
-            let keyword_const = matches!(first.as_str(), "null" | "true" | "false");
-            if !keyword_const && next_is_dot && (is_local || scope.get(&first).is_none()) {
+        match (self.peek(), self.peek2()) {
+            (Tok::LParen, _) => {
+                // cast: (type) operand
+                self.bump();
+                let ty = self.parse_type()?;
+                self.expect_tok(&Tok::RParen)?;
+                let operand = self.parse_operand(scope)?;
+                return Ok(ParsedExpr::Plain(Expr::Cast { ty, operand }));
+            }
+            (Tok::Bang, _) => {
+                self.bump();
+                let operand = self.parse_operand(scope)?;
+                return Ok(ParsedExpr::Plain(Expr::Unary {
+                    op: crate::UnOp::Not,
+                    operand,
+                }));
+            }
+            (Tok::Minus, Tok::Ident(_)) => {
+                self.bump();
+                let operand = self.parse_operand(scope)?;
+                return Ok(ParsedExpr::Plain(Expr::Unary {
+                    op: crate::UnOp::Neg,
+                    operand,
+                }));
+            }
+            // Identifier chains: field load / array load / plain operand ± binop.
+            (&Tok::Ident(first), Tok::Dot) if !matches!(first, "null" | "true" | "false") => {
                 // Dotted chain: instance or static field load, or class literal.
-                let mut segs = vec![self.ident()?];
-                while matches!(self.peek(), Tok::Dot) {
-                    self.bump();
-                    segs.push(self.ident()?);
-                }
-                if segs.last().map(String::as_str) == Some("class") {
-                    let cls = segs[..segs.len() - 1].join(".");
-                    let sym = self.program.intern(&cls);
+                let path = self.qname()?;
+                if path.last == "class" {
+                    let sym = self.intern_dotted(path.init());
                     return self
                         .finish_binary(scope, Expr::Operand(Operand::Const(Const::Class(sym))));
                 }
-                let target = self.field_target(scope, &segs)?;
+                let target = self.field_target(scope, path)?;
                 return Ok(ParsedExpr::Plain(Expr::FieldLoad(target)));
             }
-            if matches!(self.peek2(), Tok::LBracket) {
-                if let Some(&(array, _)) = scope.get(&first) {
+            (&Tok::Ident(first), Tok::LBracket) => {
+                if let Some(&(array, _)) = scope.get(first) {
                     self.bump(); // ident
                     self.bump(); // [
                     let index = self.parse_operand(scope)?;
-                    self.expect(&Tok::RBracket)?;
+                    self.expect_tok(&Tok::RBracket)?;
                     return Ok(ParsedExpr::Plain(Expr::ArrayLoad { array, index }));
                 }
             }
+            _ => {}
         }
         let lhs = self.parse_operand(scope)?;
         if self.at_kw("instanceof") {
@@ -1179,11 +1329,7 @@ impl<'p> Parser<'p> {
 
     /// After a leading operand expression, parse an optional binary operator
     /// and right operand.
-    fn finish_binary(
-        &mut self,
-        scope: &LocalScope,
-        lhs_expr: Expr,
-    ) -> Result<ParsedExpr, ParseError> {
+    fn finish_binary(&mut self, scope: &LocalScope<'src>, lhs_expr: Expr) -> PResult<ParsedExpr> {
         let op = match self.peek() {
             Tok::Plus => Some(crate::BinOp::Add),
             Tok::Minus => Some(crate::BinOp::Sub),
@@ -1207,13 +1353,25 @@ impl<'p> Parser<'p> {
     }
 }
 
+/// The invoke kind an `*invoke` keyword names.
+fn invoke_kind(word: &str) -> Option<InvokeKind> {
+    match word {
+        "virtualinvoke" => Some(InvokeKind::Virtual),
+        "specialinvoke" => Some(InvokeKind::Special),
+        "staticinvoke" => Some(InvokeKind::Static),
+        "interfaceinvoke" => Some(InvokeKind::Interface),
+        _ => None,
+    }
+}
+
 enum ParsedExpr {
     Plain(Expr),
     Invoke(Call),
 }
 
-struct StmtParser {
+#[derive(Default)]
+struct StmtParser<'src> {
     stmts: Vec<Stmt>,
-    labels: HashMap<String, usize>,
-    fixups: Vec<(usize, String, u32, u32)>,
+    labels: HashMap<&'src str, usize, FxBuildHasher>,
+    fixups: Vec<(usize, &'src str, u32, u32)>,
 }

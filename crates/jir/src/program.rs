@@ -376,6 +376,21 @@ impl Program {
         Ok(id)
     }
 
+    /// How many classes and interned strings the program holds, for a
+    /// later [`Program::truncate_to`].
+    pub(crate) fn len_mark(&self) -> (usize, usize) {
+        (self.classes.len(), self.interner.len())
+    }
+
+    /// Drops every class and interned string added since `mark` was
+    /// taken by [`Program::len_mark`].
+    pub(crate) fn truncate_to(&mut self, (classes, strings): (usize, usize)) {
+        for class in self.classes.drain(classes..) {
+            self.class_by_name.remove(&class.name);
+        }
+        self.interner.truncate(strings);
+    }
+
     /// Total number of statements across all bodies — the "size" metric used
     /// in library-characteristics reporting.
     pub fn stmt_count(&self) -> usize {

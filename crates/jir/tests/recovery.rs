@@ -159,6 +159,57 @@ fn lex_error_drops_file() {
     assert_eq!(p.class_count(), 0);
 }
 
+/// Tokens are lexed as the parser goes, yet a lexical error late in a
+/// file still drops everything the file added, diagnostics included.
+#[test]
+fn late_lex_error_drops_classes_parsed_before_it() {
+    let mut p = parse_program("class base.A { }").unwrap();
+    let src = "class demo.B { }\nclass demo.C { junk }\nclass demo.D { \u{0} }";
+    let rec = parse_into_recovering(src, &mut p);
+    assert_eq!(rec.diagnostics.len(), 1, "{:?}", rec.diagnostics);
+    assert_eq!(rec.diagnostics[0].dropped, "file");
+    assert_eq!((rec.diagnostics[0].line, rec.diagnostics[0].col), (3, 16));
+    assert_eq!(p.class_count(), 1);
+    assert_eq!(p.interner().get("demo.B"), None);
+    assert_eq!(
+        p.interner().len(),
+        2,
+        "only `base.A` and `java.lang.Object`"
+    );
+}
+
+#[test]
+fn late_lex_error_beats_an_earlier_syntax_error_in_the_strict_parser() {
+    let mut p = parse_program("class base.A { }").unwrap();
+    let src = "class demo.B { }\nclass demo.C { junk }\nclass demo.D { # }";
+    let err = spo_jir::parse_into(src, &mut p).unwrap_err();
+    assert_eq!(err.message, "unexpected character `#`");
+    assert_eq!((err.line, err.col), (3, 16));
+    assert_eq!(p.class_count(), 1);
+    assert_eq!(p.interner().get("demo.B"), None);
+}
+
+#[test]
+fn lex_error_quotes_the_whole_non_ascii_character() {
+    let mut p = Program::new();
+    let rec = parse_into_recovering("class é.C {}", &mut p);
+    assert_eq!(rec.diagnostics.len(), 1, "{:?}", rec.diagnostics);
+    let d = &rec.diagnostics[0];
+    assert_eq!(d.message, "unexpected character `é`");
+    assert_eq!((d.line, d.col, d.dropped.as_str()), (1, 7, "file"));
+}
+
+#[test]
+fn columns_after_a_non_ascii_string_literal_count_characters() {
+    let src = "class demo.A {\n  method public void m() {\n    local java.lang.String s;\n    s = \"é\"; #\n  }\n}\n";
+    let mut p = Program::new();
+    let rec = parse_into_recovering(src, &mut p);
+    assert_eq!(rec.diagnostics.len(), 1, "{:?}", rec.diagnostics);
+    let d = &rec.diagnostics[0];
+    assert_eq!(d.message, "unexpected character `#`");
+    assert_eq!((d.line, d.col), (4, 14));
+}
+
 #[test]
 fn truncated_class_is_dropped_without_hanging() {
     let src = r#"

@@ -570,18 +570,22 @@ fn split_flags<'a>(args: &'a [String], flags: &mut Vec<&'a str>) -> Vec<&'a Stri
 
 /// Loads and layers the given `.jir` files with parse recovery: a
 /// malformed member or class is dropped and reported as a diagnostic
-/// instead of failing the load. Only I/O errors are fatal.
+/// instead of failing the load. Only I/O errors are fatal. On `lane` the
+/// load is one `load` span holding a `parse` span per file.
 fn load_program(
     paths: &[&String],
     rec: &Recorder,
+    lane: &TraceLane,
     diags: &mut Vec<Diagnostic>,
 ) -> Result<Program, String> {
     if paths.is_empty() {
         return Err("no input files".to_owned());
     }
+    let _load = lane.span("load", "cli");
     let mut program = Program::new();
     for path in paths {
         let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let _parse = lane.span("parse", "cli");
         let recovery = spo_jir::parse_into_recovering_traced(&src, &mut program, rec);
         for d in recovery.diagnostics {
             diags.push(Diagnostic {
@@ -634,6 +638,12 @@ fn print_report(s: &str) -> Result<(), String> {
     }
 }
 
+/// [`print_report`] inside a `write` span on `lane`.
+fn write_report(lane: &TraceLane, s: &str) -> Result<(), String> {
+    let _write = lane.span("write", "cli");
+    print_report(s)
+}
+
 fn options_from(flags: &[&str]) -> Result<AnalysisOptions, String> {
     let mut options = AnalysisOptions::default();
     for f in flags {
@@ -663,15 +673,8 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let mut diags = Vec::new();
     // `check` runs no engine, so the timeline is a single CLI lane with
     // load and call-graph phases.
-    let lane = if tracer.is_enabled() {
-        tracer.lane("cli")
-    } else {
-        TraceLane::disabled()
-    };
-    let program = {
-        let _span = lane.span("load", "cli");
-        load_program(&paths, &rec, &mut diags)?
-    };
+    let lane = tracer.lane("cli");
+    let program = load_program(&paths, &rec, &lane, &mut diags)?;
     let cg_span = lane.span("call-graph", "cli");
     let entries = spo_resolve::entry_points(&program);
     let hierarchy = spo_resolve::Hierarchy::new(&program);
@@ -718,7 +721,8 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     let paths = split_flags(&args, &mut flags);
     let options = options_from(&flags)?;
     let mut diags = Vec::new();
-    let program = load_program(&paths, &rec, &mut diags)?;
+    let lane = tracer.lane("cli");
+    let program = load_program(&paths, &rec, &lane, &mut diags)?;
     let engine = AnalysisEngine::new(jobs)
         .with_recorder(rec.clone())
         .with_guard(guard)
@@ -728,7 +732,11 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     report_cache_diags(&cache);
     // The daemon's `analyze`/`query` responses embed this same string, so
     // resident and one-shot reports stay byte-identical by construction.
-    print_report(&spo_core::render_analysis(&lib))?;
+    let report = {
+        let _render = lane.span("render", "cli");
+        spo_core::render_analysis(&lib)
+    };
+    write_report(&lane, &report)?;
     diags.extend(lib.degraded.values().cloned());
     trace_opts.write(&tracer)?;
     stats_opts.emit(&rec)?;
@@ -758,7 +766,8 @@ fn cmd_export(args: &[String]) -> Result<ExitCode, String> {
     }
     let options = options_from(&flags)?;
     let mut diags = Vec::new();
-    let program = load_program(&positional, &rec, &mut diags)?;
+    let lane = tracer.lane("cli");
+    let program = load_program(&positional, &rec, &lane, &mut diags)?;
     let engine = AnalysisEngine::new(jobs)
         .with_recorder(rec.clone())
         .with_guard(guard)
@@ -766,7 +775,11 @@ fn cmd_export(args: &[String]) -> Result<ExitCode, String> {
     let (engine, cache) = attach_cache(engine, &cache_dir)?;
     let (lib, _stats) = engine.analyze_library(&program, &name, options);
     report_cache_diags(&cache);
-    print_report(&export_policies(&lib))?;
+    let exported = {
+        let _render = lane.span("render", "cli");
+        export_policies(&lib)
+    };
+    write_report(&lane, &exported)?;
     diags.extend(lib.degraded.values().cloned());
     trace_opts.write(&tracer)?;
     stats_opts.emit(&rec)?;
@@ -792,8 +805,9 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let flags: Vec<&str> = flags.into_iter().filter(|f| *f != "--html").collect();
     let options = options_from(&flags)?;
     let mut diags = Vec::new();
-    let left = load_program(&left_paths, &rec, &mut diags)?;
-    let right = load_program(&right_paths, &rec, &mut diags)?;
+    let lane = tracer.lane("cli");
+    let left = load_program(&left_paths, &rec, &lane, &mut diags)?;
+    let right = load_program(&right_paths, &rec, &lane, &mut diags)?;
     let engine = AnalysisEngine::new(jobs)
         .with_recorder(rec.clone())
         .with_guard(guard)
@@ -801,11 +815,15 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let (engine, cache) = attach_cache(engine, &cache_dir)?;
     let report = compare_implementations_with(&left, "left", &right, "right", options, &engine);
     report_cache_diags(&cache);
-    if html {
-        print_report(&spo_core::render_html(&report.diff, &report.groups))?;
-    } else {
-        print_report(&report.render())?;
-    }
+    let rendered = {
+        let _render = lane.span("render", "cli");
+        if html {
+            spo_core::render_html(&report.diff, &report.groups)
+        } else {
+            report.render()
+        }
+    };
+    write_report(&lane, &rendered)?;
     // A degraded root on either side is excluded from that side's entries,
     // so the diff silently skips it; surface the exclusion instead.
     diags.extend(report.left.degraded.values().cloned());
@@ -826,8 +844,8 @@ fn cmd_throws(args: &[String]) -> Result<ExitCode, String> {
     reject_unknown_flags("throws", &flags, &[])?;
     let off = Recorder::disabled();
     let mut diags = Vec::new();
-    let left = load_program(&left_paths, &off, &mut diags)?;
-    let right = load_program(&right_paths, &off, &mut diags)?;
+    let left = load_program(&left_paths, &off, &TraceLane::disabled(), &mut diags)?;
+    let right = load_program(&right_paths, &off, &TraceLane::disabled(), &mut diags)?;
     let lt = spo_core::ThrowsAnalyzer::new(&left).analyze_library("left");
     let rt = spo_core::ThrowsAnalyzer::new(&right).analyze_library("right");
     let diffs = spo_core::diff_throws(&lt, &rt);
@@ -951,7 +969,7 @@ fn cmd_cache_export_index(args: &[String]) -> Result<ExitCode, String> {
     }
     let rec = Recorder::disabled();
     let mut diags = Vec::new();
-    let program = load_program(&positional, &rec, &mut diags)?;
+    let program = load_program(&positional, &rec, &TraceLane::disabled(), &mut diags)?;
     if !diags.is_empty() {
         for d in &diags {
             eprintln!("{d}");

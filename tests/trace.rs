@@ -67,6 +67,27 @@ class api.F {
 }
 "#;
 
+/// Counts complete events named `name` in a capture.
+fn spans_named(doc: &str, name: &str) -> usize {
+    doc.lines()
+        .filter(|l| l.contains(&format!("{{\"name\":\"{name}\",")) && l.contains("\"ph\":\"X\""))
+        .count()
+}
+
+/// The `cli` lane of an analyze, export or diff capture covers the whole
+/// command around the engine: a `load` per side holding one `parse` per
+/// input file, then one `render` and one `write`.
+fn assert_cli_phases(doc: &str, sides: usize, files: usize) {
+    assert!(
+        doc.contains("\"args\":{\"name\":\"cli\"}"),
+        "cli lane present"
+    );
+    assert_eq!(spans_named(doc, "load"), sides, "one load span per side");
+    assert_eq!(spans_named(doc, "parse"), files, "one parse span per file");
+    assert_eq!(spans_named(doc, "render"), 1);
+    assert_eq!(spans_named(doc, "write"), 1);
+}
+
 #[test]
 fn traced_analyze_emits_valid_trace_and_identical_report() {
     let rt = write_temp("rt.jir", RUNTIME);
@@ -99,6 +120,7 @@ fn traced_analyze_emits_valid_trace_and_identical_report() {
     assert!(doc.contains("/main"), "main lane present");
     assert!(doc.contains("/worker00"), "one lane per engine worker");
     assert!(doc.contains("\"fixpoint\""), "dataflow spans present");
+    assert_cli_phases(&doc, 1, 2);
     // The versioned validator is also reachable through the CLI.
     let validated = spo(&[
         "stats-validate",
@@ -141,6 +163,20 @@ fn traced_diff_and_check_write_captures_without_touching_stdout() {
     spo_obs::json::validate_trace(&doc).unwrap();
     assert!(doc.contains("left/"), "left analysis lanes");
     assert!(doc.contains("right/"), "right analysis lanes");
+    assert_cli_phases(&doc, 2, 4);
+
+    let export_trace = temp_dir().join("export.trace.json");
+    let exported = spo(&[
+        "export",
+        rt.to_str().unwrap(),
+        api.to_str().unwrap(),
+        "--trace-out",
+        export_trace.to_str().unwrap(),
+    ]);
+    assert!(exported.status.success(), "{exported:?}");
+    let doc = std::fs::read_to_string(&export_trace).unwrap();
+    spo_obs::json::validate_trace(&doc).unwrap();
+    assert_cli_phases(&doc, 1, 2);
 
     let check_trace = temp_dir().join("check.trace.json");
     let checked = spo(&[
