@@ -1,7 +1,7 @@
 //! Regenerates **Table 2 — Analysis time** for the MAY and MUST passes
 //! under the three memoization configurations: no summaries, per-entry
-//! summaries, and global summaries — plus the engine's parallel
-//! global-memo configuration, which the paper's serial analysis had no
+//! summaries, and global summaries — plus a worker-count sweep of the
+//! global configuration, which the paper's serial analysis had no
 //! counterpart for.
 //!
 //! The paper reports minutes on 2011 hardware for 600 KLoC subjects; the
@@ -10,28 +10,25 @@
 //! factor (the paper's overall 15–65×).
 //!
 //! Besides the console tables, the binary writes `BENCH_table2.json`
-//! (wall-clock and memo hit rates per configuration, machine-readable)
-//! into the current directory. The timed runs keep the recorder disabled
-//! so instrumentation can't perturb the published timings; a separate
-//! pair of instrumented global-memo runs (serial and parallel) supplies
-//! the cache-efficiency and fixpoint-cost columns plus full embedded
-//! `spo-stats/1` snapshots.
+//! (per-configuration may/must time and memo hit rates, and the sweep's
+//! median and noise band per cell) into the current directory. Every
+//! timed run keeps the recorder disabled so instrumentation can't perturb
+//! the published timings.
 //!
 //! ```text
 //! cargo run -p spo-bench --release --bin table2
+//! SPO_SCALE=0.1 SPO_SWEEP_SCALES=1,3 SPO_SWEEP_JOBS=1,2 target/release/table2
 //! ```
+//!
+//! `SPO_SWEEP_SCALES` and `SPO_SWEEP_JOBS` are comma-separated lists; an
+//! entry that does not parse, an empty list, or a jobs list without the
+//! serial baseline `1` is an error, not a silently shorter sweep.
 
-use spo_bench::{
-    corpus_from_env, embed_json, instrumented_stats, scale_from_env, DerivedCosts, Table,
-};
-use spo_cache::PolicyCache;
+use spo_bench::{corpus_from_env, scale_from_env, Table};
 use spo_core::{AnalysisOptions, MemoScope};
 use spo_corpus::Lib;
 use spo_engine::{AnalysisEngine, EngineStats};
-use spo_guard::GuardConfig;
-use spo_obs::Snapshot;
-use spo_serve::{OptionsSpec, Registry};
-use std::sync::Arc;
+use std::process::ExitCode;
 
 /// Paper values in minutes: rows (no-memo, per-entry, global) × (may, must)
 /// per library.
@@ -46,10 +43,16 @@ const PAPER_MUST: [(Lib, [usize; 3]); 3] = [
     (Lib::Classpath, [650, 50, 10]),
 ];
 
+/// The paper's three configurations, in its row order. Each runs on one
+/// worker: the engine with one worker is the serial analyzer.
+const CONFIGS: [(&str, MemoScope); 3] = [
+    ("No summaries", MemoScope::None),
+    ("Summaries (per entry point)", MemoScope::PerEntry),
+    ("Summaries (global)", MemoScope::Global),
+];
+
 /// One measured configuration of one library.
 struct Measurement {
-    config: &'static str,
-    jobs: usize,
     lib: Lib,
     stats: EngineStats,
 }
@@ -72,40 +75,10 @@ impl Measurement {
             a.memo_hits as f64 / (a.memo_hits + a.memo_misses) as f64
         }
     }
-    /// Lock-wait latency quantile across every SharedStore shard, in
-    /// microseconds (0.0 when the run never contended a shard).
-    fn lock_wait_us(&self, q: f64) -> f64 {
-        let w = self.stats.lock_wait();
-        if w.count == 0 {
-            0.0
-        } else {
-            w.quantile(q) as f64 / 1e3
-        }
-    }
-    /// One-line shard-contention summary: how many lock acquisitions
-    /// blocked, and what blocking cost when it happened.
-    fn contention_summary(&self) -> String {
-        let w = self.stats.lock_wait();
-        if w.count == 0 {
-            "uncontended".to_owned()
-        } else {
-            format!(
-                "{} waits, p50 {:.1} us, p99 {:.1} us",
-                w.count,
-                self.lock_wait_us(0.5),
-                self.lock_wait_us(0.99),
-            )
-        }
-    }
 }
 
-fn measure(
-    corpus: &spo_corpus::Corpus,
-    config: &'static str,
-    jobs: usize,
-    scope: MemoScope,
-) -> Vec<Measurement> {
-    let engine = AnalysisEngine::new(jobs);
+fn measure(corpus: &spo_corpus::Corpus, config: &str, scope: MemoScope) -> Vec<Measurement> {
+    let engine = AnalysisEngine::new(1);
     Lib::ALL
         .iter()
         .map(|&lib| {
@@ -114,410 +87,19 @@ fn measure(
                 ..Default::default()
             };
             let (_, stats) = engine.analyze_library(corpus.program(lib), lib.name(), options);
-            let m = Measurement {
-                config,
-                jobs: stats.workers,
-                lib,
-                stats,
-            };
+            let m = Measurement { lib, stats };
             eprintln!(
                 "{config:<28} {lib:<10} may {:>9.1} ms  must {:>9.1} ms  wall {:>9.1} ms  \
-                 ({} frames, {} memo hits, {} workers)",
+                 ({} frames, {} memo hits)",
                 m.may_ms(),
                 m.must_ms(),
                 m.wall_ms(),
                 m.stats.analysis.frames_analyzed,
                 m.stats.analysis.memo_hits,
-                m.stats.workers,
             );
             m
         })
         .collect()
-}
-
-/// The incremental configuration: populate the persistent summary cache
-/// from a baseline run, apply a single-method body edit to each library,
-/// then time the edited corpus cold (no cache) and warm (cache attached,
-/// so only the edited method's cone re-analyzes). Returns the two
-/// measurement rows `(cold_after_edit, warm_after_edit)`.
-fn measure_warm_cache(corpus: &spo_corpus::Corpus) -> (Vec<Measurement>, Vec<Measurement>) {
-    // Page-cache and allocator noise can dominate a ~20 ms run, so each
-    // configuration keeps the best of TRIALS trials. Every warm trial
-    // restarts from a copy of the freshly populated cache: the engine
-    // writes the edited roots back, which would otherwise turn later
-    // trials into all-hit runs that no longer measure the edit.
-    const TRIALS: usize = 3;
-    let options = AnalysisOptions {
-        memo: MemoScope::Global,
-        ..Default::default()
-    };
-    let mut cold = Vec::new();
-    let mut warm = Vec::new();
-    for &lib in Lib::ALL.iter() {
-        let dir = std::env::temp_dir().join(format!(
-            "spo-table2-cache-{}-{}",
-            std::process::id(),
-            lib.name()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = Arc::new(PolicyCache::open(&dir).expect("cache directory"));
-        AnalysisEngine::new(1)
-            .with_cache(Arc::clone(&cache))
-            .analyze_library(corpus.program(lib), lib.name(), options);
-        drop(cache);
-        let populated: Vec<(std::path::PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
-            .expect("cache directory")
-            .filter_map(|e| e.ok())
-            .map(|e| (e.path(), std::fs::read(e.path()).expect("cache file")))
-            .collect();
-
-        // Single-method edit: a redundant goto in the first method body
-        // changes exactly one method's content hash (no declarations
-        // move, so the structural salt is untouched).
-        let text = spo_jir::print_program(corpus.program(lib));
-        let edited = text.replacen("    return;", "    goto resume;\n  resume:\n    return;", 1);
-        assert_ne!(text, edited, "{lib}: single-method edit did not apply");
-        let program = spo_jir::parse_program(&edited).expect("edited program parses");
-
-        for (config, cached, out) in [
-            ("Cold after edit (no cache)", false, &mut cold),
-            ("Warm after edit (cached)", true, &mut warm),
-        ] {
-            let mut best: Option<Measurement> = None;
-            for _ in 0..TRIALS {
-                let engine = if cached {
-                    for (path, bytes) in &populated {
-                        std::fs::write(path, bytes).expect("restore cache file");
-                    }
-                    AnalysisEngine::new(1)
-                        .with_cache(Arc::new(PolicyCache::open(&dir).expect("cache directory")))
-                } else {
-                    AnalysisEngine::new(1)
-                };
-                let (_, stats) = engine.analyze_library(&program, lib.name(), options);
-                let m = Measurement {
-                    config,
-                    jobs: stats.workers,
-                    lib,
-                    stats,
-                };
-                if best
-                    .as_ref()
-                    .is_none_or(|b| m.stats.wall_nanos < b.stats.wall_nanos)
-                {
-                    best = Some(m);
-                }
-            }
-            let m = best.expect("at least one trial");
-            eprintln!(
-                "{config:<28} {lib:<10} wall {:>9.1} ms  ({} cache hits, {} misses)",
-                m.wall_ms(),
-                m.stats.cache_hits,
-                m.stats.cache_misses,
-            );
-            out.push(m);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    (cold, warm)
-}
-
-/// Warm-query latency through the resident registry (`spo serve`,
-/// DESIGN.md §12).
-struct ServeLatency {
-    /// One cold request: full analysis of the library plus report
-    /// rendering — what a one-shot `spo analyze` pays after parsing.
-    cold_ms: f64,
-    /// Client-observed warm-query latency percentiles over `queries`
-    /// single-entry-point queries served from the resident policies.
-    p50_ms: f64,
-    p99_ms: f64,
-    queries: usize,
-}
-
-impl ServeLatency {
-    fn speedup(&self) -> f64 {
-        if self.p50_ms > 0.0 {
-            self.cold_ms / self.p50_ms
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Stands up an in-process `spo-serve` registry on the jdk library, pays
-/// one cold analyze, then times warm queries against the resident
-/// policies — the daemon's `query` path minus the socket hop.
-fn measure_serve(corpus: &spo_corpus::Corpus) -> ServeLatency {
-    use std::time::Instant;
-    const QUERIES: usize = 100;
-    let path = std::env::temp_dir().join(format!("spo-table2-serve-{}.jir", std::process::id()));
-    std::fs::write(&path, spo_jir::print_program(corpus.program(Lib::Jdk)))
-        .expect("write serve corpus");
-    let registry = Registry::new(1, None, spo_obs::Recorder::disabled());
-    registry
-        .load("jdk", &[path.to_string_lossy().into_owned()])
-        .expect("load serve corpus");
-    let _ = std::fs::remove_file(&path);
-    let entry = registry.get("jdk").expect("loaded program");
-    let (guard, spec) = (GuardConfig::default(), OptionsSpec::default());
-
-    let cold = Instant::now();
-    let (a, warm) = registry.analysis(&entry, spec, &guard);
-    assert!(!warm, "first serve request must be cold");
-    let _ = spo_core::render_analysis(&a.lib);
-    let cold_ms = cold.elapsed().as_secs_f64() * 1e3;
-
-    // Query an entry point that actually carries a policy (checkless
-    // entries render as the empty string, by the listing's contract).
-    let sig = a
-        .lib
-        .entries
-        .iter()
-        .find(|(_, e)| !e.has_no_checks())
-        .map(|(sig, _)| sig.clone())
-        .expect("an entry point with checks");
-    let mut lat: Vec<f64> = (0..QUERIES)
-        .map(|_| {
-            let t = Instant::now();
-            let (a, warm) = registry.analysis(&entry, spec, &guard);
-            let report = spo_core::render_entry(&sig, &a.lib.entries[&sig]);
-            let elapsed = t.elapsed().as_secs_f64() * 1e3;
-            assert!(warm && !report.is_empty(), "queries must serve warm");
-            elapsed
-        })
-        .collect();
-    lat.sort_by(f64::total_cmp);
-    ServeLatency {
-        cold_ms,
-        p50_ms: lat[QUERIES / 2],
-        p99_ms: lat[QUERIES * 99 / 100],
-        queries: QUERIES,
-    }
-}
-
-/// Robustness headline numbers: fault counts from a seeded in-process
-/// chaos exercise of the cache flush path, plus the reconnect count a
-/// retrying rpc client needed against a drop-injecting daemon.
-struct ChaosRobustness {
-    soak_faults_injected: u64,
-    soak_recovered: u64,
-    rpc_retry_count: u64,
-}
-
-/// Drives the crash-safe cache and the daemon/client retry loop under
-/// seeded `spo-chaos` fault plans — the same plans `spo chaos soak`
-/// arms, scaled down to a deterministic in-process exercise. The
-/// interesting output is that the run *finishes with correct results*;
-/// the counters published here size how much fault traffic it absorbed.
-fn measure_chaos(corpus: &spo_corpus::Corpus) -> ChaosRobustness {
-    use spo_chaos::{sites, FaultPlan};
-    // Cache flush under injected short writes, rename failures, fsync
-    // errors, and bit flips: five cold analyze+flush cycles, each with
-    // its own seed.
-    let dir = std::env::temp_dir().join(format!("spo-table2-chaos-{}", std::process::id()));
-    let (mut injected, mut recovered) = (0u64, 0u64);
-    for seed in 0..5u64 {
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = Arc::new(PolicyCache::open(&dir).expect("open chaos cache"));
-        let plan = FaultPlan::seeded(0xC4A0 + seed).sites_at(
-            &[
-                sites::CACHE_WRITE_SHORT,
-                sites::CACHE_RENAME_FAIL,
-                sites::CACHE_FSYNC_FAIL,
-                sites::CACHE_BITFLIP,
-            ],
-            0.4,
-        );
-        cache.set_fault_plan(plan.clone());
-        let engine = AnalysisEngine::new(1).with_cache(Arc::clone(&cache));
-        let (lib, _) = engine.analyze_library(
-            corpus.program(Lib::Jdk),
-            "jdk",
-            AnalysisOptions {
-                memo: MemoScope::Global,
-                ..Default::default()
-            },
-        );
-        assert!(!lib.entries.is_empty(), "chaos run still analyzes");
-        injected += plan.injected();
-        recovered += plan.recovered();
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Daemon/client retry: a real `spo-serve` daemon on a Unix socket
-    // with a one-shot connection drop armed; the client loop mirrors
-    // `spo rpc`'s retry discipline and reports how many reconnects the
-    // injected faults cost.
-    let rpc_retry_count = measure_rpc_retries(corpus);
-    ChaosRobustness {
-        soak_faults_injected: injected,
-        soak_recovered: recovered,
-        rpc_retry_count,
-    }
-}
-
-/// Stands up an in-process daemon with `serve.conn.drop:once` armed and
-/// replays an idempotent query until a complete response arrives,
-/// counting reconnects (expected: exactly one).
-fn measure_rpc_retries(corpus: &spo_corpus::Corpus) -> u64 {
-    use spo_chaos::{sites, FaultPlan};
-    use std::io::{BufRead, BufReader, Write};
-    let jir = std::env::temp_dir().join(format!("spo-table2-rpc-{}.jir", std::process::id()));
-    std::fs::write(&jir, spo_jir::print_program(corpus.program(Lib::Jdk)))
-        .expect("write rpc corpus");
-    let sock = std::env::temp_dir().join(format!("spo-table2-rpc-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&sock);
-    // The daemon thread captures the *global* plan at startup; disarm it
-    // again before returning so nothing later in the process probes it.
-    spo_chaos::install(FaultPlan::seeded(0x57A11).site_once(sites::SERVE_CONN_DROP));
-    let config = spo_serve::ServeConfig {
-        socket: Some(sock.clone()),
-        jobs: 1,
-        preload: vec![("jdk".to_owned(), vec![jir.to_string_lossy().into_owned()])],
-        recorder: spo_obs::Recorder::new(),
-        ..Default::default()
-    };
-    let daemon = std::thread::spawn(move || spo_serve::run(config));
-    let t0 = std::time::Instant::now();
-    while !sock.exists() {
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(30),
-            "daemon never bound"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    let query = r#"{"spo-rpc":1,"id":1,"method":"query","params":{"name":"jdk"}}"#;
-    let mut retries = 0u64;
-    loop {
-        let attempt = || -> std::io::Result<String> {
-            let mut s = std::os::unix::net::UnixStream::connect(&sock)?;
-            writeln!(s, "{query}")?;
-            s.flush()?;
-            let mut line = String::new();
-            let n = BufReader::new(s).read_line(&mut line)?;
-            if n == 0 || !line.ends_with('\n') {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "dropped mid-response",
-                ));
-            }
-            Ok(line)
-        };
-        match attempt() {
-            Ok(line) => {
-                assert!(line.contains("\"status\":\"ok\""), "query succeeds: {line}");
-                break;
-            }
-            Err(_) => {
-                retries += 1;
-                assert!(retries < 16, "retry loop must converge");
-            }
-        }
-    }
-    if let Ok(mut s) = std::os::unix::net::UnixStream::connect(&sock) {
-        let _ = writeln!(s, r#"{{"spo-rpc":1,"id":2,"method":"shutdown"}}"#);
-        let _ = s.flush();
-        let mut line = String::new();
-        let _ = BufReader::new(s).read_line(&mut line);
-    }
-    let _ = daemon
-        .join()
-        .expect("daemon thread")
-        .expect("daemon drains");
-    spo_chaos::install(FaultPlan::disabled());
-    let _ = std::fs::remove_file(&jir);
-    retries
-}
-
-/// Compiled-index latency (`spo cache export-index` / `spo index`,
-/// DESIGN.md §16) at one corpus scale: build both libraries' indexes,
-/// then time single-entry-point queries against the parsed jdk index and
-/// one full jdk-vs-harmony diff answered purely from the two indexes.
-struct IndexLatency {
-    scale: f64,
-    entry_points: usize,
-    bytes: usize,
-    build_ms: f64,
-    parse_ms: f64,
-    queries: usize,
-    query_p50_us: f64,
-    query_p99_us: f64,
-    diff_ms: f64,
-}
-
-fn measure_index(corpus: &spo_corpus::Corpus, scale: f64) -> IndexLatency {
-    use std::time::Instant;
-    let options = AnalysisOptions {
-        memo: MemoScope::Global,
-        ..Default::default()
-    };
-    let intra = AnalysisOptions {
-        interprocedural: false,
-        ..options
-    };
-    let engine = AnalysisEngine::new(1);
-    let compile = |lib: Lib| {
-        let (full, _) = engine.analyze_library(corpus.program(lib), lib.name(), options);
-        let (ablation, _) = engine.analyze_library(corpus.program(lib), lib.name(), intra);
-        (full, ablation)
-    };
-    let (jdk_full, jdk_intra) = compile(Lib::Jdk);
-    let (har_full, har_intra) = compile(Lib::Harmony);
-    let t = Instant::now();
-    let jdk_bytes = spo_index::IndexBuilder::new("left", &options, &jdk_full, &jdk_intra)
-        .build()
-        .expect("jdk index builds");
-    let build_ms = t.elapsed().as_secs_f64() * 1e3;
-    let har_bytes = spo_index::IndexBuilder::new("right", &options, &har_full, &har_intra)
-        .build()
-        .expect("harmony index builds");
-    let t = Instant::now();
-    let index = spo_index::PolicyIndex::parse(&jdk_bytes).expect("jdk index parses");
-    let parse_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // Query latency: binary search + blob decode + render per query, the
-    // daemon's warm-index path. Stride the entry points down to at most
-    // 1024 timed queries so the scale-10 run stays short.
-    let sigs: Vec<&str> = index
-        .records()
-        .map(|r| index.signature_of(r).expect("signature decodes"))
-        .collect();
-    let stride = (sigs.len() / 1024).max(1);
-    let mut lat: Vec<f64> = sigs
-        .iter()
-        .step_by(stride)
-        .map(|sig| {
-            let t = Instant::now();
-            let report = index.query(sig).expect("query decodes");
-            let us = t.elapsed().as_secs_f64() * 1e6;
-            assert!(report.is_some(), "indexed entry point answers");
-            us
-        })
-        .collect();
-    let queries = lat.len();
-    lat.sort_by(f64::total_cmp);
-
-    // Diff latency: parse the second index and run the oracle over both
-    // from the index bytes — everything `spo index diff` does after
-    // read(), beyond the first parse timed above.
-    let t = Instant::now();
-    let right = spo_index::PolicyIndex::parse(&har_bytes).expect("harmony index parses");
-    let (report, _) = spo_index::diff_indexes(&index, &right).expect("index diff decodes");
-    let diff_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert!(!report.is_empty(), "index diff renders");
-
-    IndexLatency {
-        scale,
-        entry_points: index.len(),
-        bytes: jdk_bytes.len(),
-        build_ms,
-        parse_ms,
-        queries,
-        query_p50_us: lat[queries / 2],
-        query_p99_us: lat[queries * 99 / 100],
-        diff_ms,
-    }
 }
 
 /// Timed trials per (scale, jobs) cell of the scale sweep.
@@ -557,39 +139,73 @@ struct SweepScale {
     rows: Vec<SweepRow>,
 }
 
-fn env_list(var: &str, default: &str) -> Vec<f64> {
-    std::env::var(var)
-        .unwrap_or_else(|_| default.to_owned())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect()
+impl SweepScale {
+    /// This row's speedup over the jobs-1 median at the same scale (the
+    /// grid always holds a jobs-1 row; see [`sweep_grid`]).
+    fn speedup(&self, row: &SweepRow) -> f64 {
+        let baseline = self
+            .rows
+            .iter()
+            .find(|b| b.jobs == 1)
+            .map_or(0.0, SweepRow::wall_ms);
+        baseline / row.wall_ms().max(1e-9)
+    }
 }
 
-/// The scale sweep: for each corpus scale in `SPO_SWEEP_SCALES` (default
-/// `1,10`), analyze the jdk implementation under global memoization
-/// [`SWEEP_TRIALS`] times at each worker count in `SPO_SWEEP_JOBS`
-/// (default `1,2,4,8`) and keep the median, min, and max wall clock.
-/// Cross-jobs speedup is only meaningful relative to the machine's core
-/// count, which the JSON records alongside the rows.
-fn measure_scale_sweep() -> (usize, Vec<SweepScale>, Option<IndexLatency>) {
+/// Parses the comma-separated list `text` held by the variable `var`.
+/// Every entry must parse and be accepted by `valid`, and the list must
+/// not be empty; the error names the variable and the offending value.
+fn parse_list<T: std::str::FromStr>(
+    var: &str,
+    text: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::new();
+    for entry in text.split(',').map(str::trim) {
+        match entry.parse() {
+            Ok(v) if valid(&v) => out.push(v),
+            _ => return Err(format!("{var}: bad entry `{entry}` in `{text}`")),
+        }
+    }
+    Ok(out)
+}
+
+/// Validates the sweep grid: positive finite scales, and positive worker
+/// counts that include the serial baseline `1`.
+fn sweep_grid(scales: &str, jobs: &str) -> Result<(Vec<f64>, Vec<usize>), String> {
+    let scales = parse_list("SPO_SWEEP_SCALES", scales, |s: &f64| {
+        s.is_finite() && *s > 0.0
+    })?;
+    let jobs_list = parse_list("SPO_SWEEP_JOBS", jobs, |&j: &usize| j > 0)?;
+    if !jobs_list.contains(&1) {
+        return Err(format!(
+            "SPO_SWEEP_JOBS: `{jobs}` has no `1`, the serial baseline every speedup is measured \
+             against"
+        ));
+    }
+    Ok((scales, jobs_list))
+}
+
+/// Reads `var`, falling back to `default` when it is unset.
+fn env_or(var: &str, default: &str) -> Result<String, String> {
+    match std::env::var(var) {
+        Ok(v) => Ok(v),
+        Err(std::env::VarError::NotPresent) => Ok(default.to_owned()),
+        Err(e) => Err(format!("{var}: {e}")),
+    }
+}
+
+/// The scale sweep: for each corpus scale in `scales`, analyze the jdk
+/// implementation under global memoization [`SWEEP_TRIALS`] times at each
+/// worker count in `jobs` and keep the median, min, and max wall clock.
+fn measure_scale_sweep(scales: &[f64], jobs: &[usize]) -> Vec<SweepScale> {
     use spo_corpus::{generate, CorpusConfig};
-    let scales = env_list("SPO_SWEEP_SCALES", "1,10");
-    let jobs: Vec<usize> = env_list("SPO_SWEEP_JOBS", "1,2,4,8")
-        .into_iter()
-        .map(|j| j as usize)
-        .filter(|&j| j > 0)
-        .collect();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     let options = AnalysisOptions {
         memo: MemoScope::Global,
         ..Default::default()
     };
-    let max_scale = scales.iter().copied().fold(f64::MIN, f64::max);
-    let mut index_latency = None;
     let mut out = Vec::new();
-    for &scale in &scales {
+    for &scale in scales {
         eprintln!("scale sweep: generating jdk corpus at scale {scale} ...");
         let corpus = generate(&CorpusConfig {
             scale,
@@ -603,7 +219,7 @@ fn measure_scale_sweep() -> (usize, Vec<SweepScale>, Option<IndexLatency>) {
         // first.
         let _ = AnalysisEngine::new(1).analyze_library(program, "jdk", options);
         let mut rows = Vec::new();
-        for &j in &jobs {
+        for &j in jobs {
             // The median trial carries the row; min and max give its
             // noise band, so a later run can tell a change from jitter.
             let mut trials: Vec<EngineStats> = (0..SWEEP_TRIALS)
@@ -637,79 +253,14 @@ fn measure_scale_sweep() -> (usize, Vec<SweepScale>, Option<IndexLatency>) {
             entry_points,
             rows,
         });
-        // Compiled-index latency rides on the largest swept corpus — the
-        // sub-millisecond query budget only means something at scale.
-        if scale == max_scale {
-            eprintln!("scale {scale}: measuring compiled-index latency ...");
-            let lat = measure_index(&corpus, scale);
-            eprintln!(
-                "scale {scale:>4} index: build {:>7.1} ms  parse {:>6.2} ms  query p50 {:>6.1} us  \
-                 p99 {:>6.1} us  diff {:>7.1} ms  ({} entries, {} bytes)",
-                lat.build_ms,
-                lat.parse_ms,
-                lat.query_p50_us,
-                lat.query_p99_us,
-                lat.diff_ms,
-                lat.entry_points,
-                lat.bytes,
-            );
-            index_latency = Some(lat);
-        }
     }
-    (cores, out, index_latency)
+    out
 }
 
-/// One instrumented (recorder-enabled) global-memo run of one library.
-struct Instrumented {
-    config: &'static str,
-    jobs: usize,
-    lib: Lib,
-    snapshot: Snapshot,
-    costs: DerivedCosts,
-}
-
-fn instrument(corpus: &spo_corpus::Corpus, config: &'static str, jobs: usize) -> Vec<Instrumented> {
-    let options = AnalysisOptions {
-        memo: MemoScope::Global,
-        ..Default::default()
-    };
-    Lib::ALL
-        .iter()
-        .map(|&lib| {
-            let snapshot = instrumented_stats(corpus, lib, options, jobs);
-            let costs = DerivedCosts::from_snapshot(&snapshot);
-            eprintln!(
-                "{config:<28} {lib:<10} store hit rate {:>5.1}%  contended {:>6}  \
-                 transfers/frame {:>6.1}  repass {:>5.1}%",
-                100.0 * costs.store_hit_rate(),
-                costs.store_contended,
-                costs.transfers_per_frame(),
-                100.0 * costs.repass_fraction(),
-            );
-            Instrumented {
-                config,
-                jobs,
-                lib,
-                snapshot,
-                costs,
-            }
-        })
-        .collect()
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-#[allow(clippy::too_many_arguments)]
 fn write_json(
     path: &str,
     scale: f64,
     runs: &[Vec<Measurement>],
-    instrumented: &[Vec<Instrumented>],
-    serve: &ServeLatency,
-    index: Option<&IndexLatency>,
-    chaos: &ChaosRobustness,
     cores: usize,
     sweep: &[SweepScale],
 ) -> std::io::Result<()> {
@@ -718,10 +269,10 @@ fn write_json(
     out.push_str("{\n");
     let _ = writeln!(out, "  \"scale\": {scale},");
     out.push_str("  \"configurations\": [\n");
-    for (ci, ms) in runs.iter().enumerate() {
+    for (ci, (ms, (config, _))) in runs.iter().zip(CONFIGS).enumerate() {
         let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"config\": \"{}\",", json_escape(ms[0].config));
-        let _ = writeln!(out, "      \"jobs\": {},", ms[0].jobs);
+        let _ = writeln!(out, "      \"config\": \"{config}\",");
+        let _ = writeln!(out, "      \"jobs\": 1,");
         out.push_str("      \"libraries\": [\n");
         for (li, m) in ms.iter().enumerate() {
             let a = &m.stats.analysis;
@@ -729,10 +280,7 @@ fn write_json(
                 out,
                 "        {{ \"library\": \"{}\", \"may_ms\": {:.3}, \"must_ms\": {:.3}, \
                  \"wall_ms\": {:.3}, \"frames\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \
-                 \"memo_hit_rate\": {:.4}, \"contended\": {}, \
-                 \"lock_wait_events\": {}, \"lock_wait_p50_us\": {:.3}, \
-                 \"lock_wait_p99_us\": {:.3}, \"contention\": \"{}\", \
-                 \"cache_hits\": {}, \"cache_misses\": {} }}{}",
+                 \"memo_hit_rate\": {:.4} }}{}",
                 m.lib.name(),
                 m.may_ms(),
                 m.must_ms(),
@@ -741,52 +289,11 @@ fn write_json(
                 a.memo_hits,
                 a.memo_misses,
                 m.hit_rate(),
-                m.stats.contended(),
-                m.stats.lock_wait().count,
-                m.lock_wait_us(0.5),
-                m.lock_wait_us(0.99),
-                json_escape(&m.contention_summary()),
-                m.stats.cache_hits,
-                m.stats.cache_misses,
                 if li + 1 < ms.len() { "," } else { "" },
             );
         }
         out.push_str("      ]\n");
         let _ = writeln!(out, "    }}{}", if ci + 1 < runs.len() { "," } else { "" });
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"stats_schema\": \"{}\",", spo_obs::SCHEMA);
-    out.push_str("  \"instrumented\": [\n");
-    for (ci, inst) in instrumented.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(
-            out,
-            "      \"config\": \"{}\",",
-            json_escape(inst[0].config)
-        );
-        let _ = writeln!(out, "      \"jobs\": {},", inst[0].jobs);
-        out.push_str("      \"libraries\": [\n");
-        for (li, i) in inst.iter().enumerate() {
-            let _ = writeln!(out, "        {{");
-            let _ = writeln!(out, "          \"library\": \"{}\",", i.lib.name());
-            let _ = writeln!(out, "{},", i.costs.json_fields("          "));
-            let _ = writeln!(
-                out,
-                "          \"stats\": {}",
-                embed_json(&i.snapshot.to_json(), 10)
-            );
-            let _ = writeln!(
-                out,
-                "        }}{}",
-                if li + 1 < inst.len() { "," } else { "" }
-            );
-        }
-        out.push_str("      ]\n");
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if ci + 1 < instrumented.len() { "," } else { "" }
-        );
     }
     out.push_str("  ],\n");
     // Scale sweep: jdk under global memo across corpus scales × worker
@@ -803,16 +310,6 @@ fn write_json(
         let _ = writeln!(out, "        \"entry_points\": {},", s.entry_points);
         out.push_str("        \"rows\": [\n");
         for (ri, r) in s.rows.iter().enumerate() {
-            let baseline = s
-                .rows
-                .iter()
-                .find(|b| b.jobs == 1)
-                .map_or(0.0, SweepRow::wall_ms);
-            let speedup = if r.wall_ms() > 0.0 {
-                baseline / r.wall_ms()
-            } else {
-                0.0
-            };
             let _ = writeln!(
                 out,
                 "          {{ \"jobs\": {}, \"workers\": {}, \"oversubscribed\": {}, \
@@ -826,7 +323,7 @@ fn write_json(
                 r.wall_ms(),
                 r.min_ms,
                 r.max_ms,
-                speedup,
+                s.speedup(r),
                 r.stats.lock_wait().count,
                 r.lock_wait_us(0.5),
                 r.lock_wait_us(0.99),
@@ -841,108 +338,31 @@ fn write_json(
         );
     }
     out.push_str("    ]\n");
-    out.push_str("  },\n");
-    // Headline: parallel global vs serial global, total wall clock.
-    // Oversubscribed measurements (more workers than cores — scheduler
-    // time slicing, not engine parallelism) are excluded: on such hosts
-    // the headline falls back to the serial run's 1.0 rather than
-    // publishing a number that reads as a parallelism regression.
-    let total_wall = |ms: &[Measurement]| ms.iter().map(Measurement::wall_ms).sum::<f64>();
-    let serial_global = total_wall(&runs[2]);
-    let parallel_oversubscribed = runs[3].iter().any(|m| m.stats.workers > cores);
-    let parallel_global = if parallel_oversubscribed {
-        serial_global
-    } else {
-        total_wall(&runs[3])
-    };
-    let _ = writeln!(out, "  \"serial_global_wall_ms\": {serial_global:.3},");
-    let _ = writeln!(out, "  \"parallel_global_wall_ms\": {parallel_global:.3},");
-    let _ = writeln!(
-        out,
-        "  \"parallel_oversubscribed\": {parallel_oversubscribed},"
-    );
-    let _ = writeln!(
-        out,
-        "  \"parallel_speedup\": {:.3},",
-        serial_global / parallel_global
-    );
-    // Incremental headline: cold vs warm re-analysis after a
-    // single-method edit, total wall clock over the corpus.
-    let by_config = |name: &str| {
-        runs.iter()
-            .find(|ms| ms[0].config == name)
-            .map(|ms| total_wall(ms))
-    };
-    let cold_edit = by_config("Cold after edit (no cache)").unwrap_or(0.0);
-    let warm_edit = by_config("Warm after edit (cached)").unwrap_or(0.0);
-    let _ = writeln!(out, "  \"cold_edit_wall_ms\": {cold_edit:.3},");
-    let _ = writeln!(out, "  \"warm_edit_wall_ms\": {warm_edit:.3},");
-    let _ = writeln!(
-        out,
-        "  \"warm_cache_speedup\": {:.3},",
-        if warm_edit > 0.0 {
-            cold_edit / warm_edit
-        } else {
-            0.0
-        }
-    );
-    // Serving headline: warm resident queries vs the cold analyze they
-    // replace (`spo serve`; acceptance floor 10x).
-    let _ = writeln!(out, "  \"serve_queries\": {},", serve.queries);
-    let _ = writeln!(out, "  \"serve_cold_analyze_ms\": {:.3},", serve.cold_ms);
-    let _ = writeln!(out, "  \"serve_query_p50_ms\": {:.4},", serve.p50_ms);
-    let _ = writeln!(out, "  \"serve_query_p99_ms\": {:.4},", serve.p99_ms);
-    let _ = writeln!(out, "  \"serve_warm_speedup\": {:.1},", serve.speedup());
-    // Compiled-index headline (`spo index`, measured at the largest sweep
-    // scale): query latency is binary search + blob decode + render on a
-    // parsed index; the budget is sub-millisecond p99 at scale 10.
-    if let Some(ix) = index {
-        let _ = writeln!(out, "  \"index_scale\": {},", ix.scale);
-        let _ = writeln!(out, "  \"index_entry_points\": {},", ix.entry_points);
-        let _ = writeln!(out, "  \"index_bytes\": {},", ix.bytes);
-        let _ = writeln!(out, "  \"index_build_ms\": {:.3},", ix.build_ms);
-        let _ = writeln!(out, "  \"index_parse_ms\": {:.3},", ix.parse_ms);
-        let _ = writeln!(out, "  \"index_queries\": {},", ix.queries);
-        let _ = writeln!(out, "  \"index_query_p50_us\": {:.2},", ix.query_p50_us);
-        let _ = writeln!(out, "  \"index_query_p99_us\": {:.2},", ix.query_p99_us);
-        let _ = writeln!(out, "  \"index_diff_ms\": {:.3},", ix.diff_ms);
-    }
-    // Robustness headline: seeded chaos exercise of the crash-safe cache
-    // and the rpc retry loop (results stay correct; these size the fault
-    // traffic absorbed along the way).
-    let _ = writeln!(
-        out,
-        "  \"soak_faults_injected\": {},",
-        chaos.soak_faults_injected
-    );
-    let _ = writeln!(out, "  \"soak_recovered\": {},", chaos.soak_recovered);
-    let _ = writeln!(out, "  \"rpc_retry_count\": {}", chaos.rpc_retry_count);
+    out.push_str("  }\n");
     out.push_str("}\n");
     std::fs::write(path, out)
 }
 
-fn main() {
+fn main() -> ExitCode {
+    // Validate the sweep grid before any timed work, so a typo fails in
+    // milliseconds instead of after the Table 2 runs.
+    let grid = env_or("SPO_SWEEP_SCALES", "1,10").and_then(|scales| {
+        env_or("SPO_SWEEP_JOBS", "1,2,4,8").and_then(|jobs| sweep_grid(&scales, &jobs))
+    });
+    let (sweep_scales, sweep_jobs) = match grid {
+        Ok(grid) => grid,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let corpus = corpus_from_env();
     let scale = scale_from_env();
 
-    // The three serial configurations of the paper's Table 2 (engine with
-    // one worker ≡ serial analyzer), plus the parallel global-memo run.
-    let mut runs = vec![
-        measure(&corpus, "No summaries", 1, MemoScope::None),
-        measure(
-            &corpus,
-            "Summaries (per entry point)",
-            1,
-            MemoScope::PerEntry,
-        ),
-        measure(&corpus, "Summaries (global)", 1, MemoScope::Global),
-        measure(
-            &corpus,
-            "Summaries (global, parallel)",
-            0,
-            MemoScope::Global,
-        ),
-    ];
+    let runs: Vec<Vec<Measurement>> = CONFIGS
+        .iter()
+        .map(|&(config, scope)| measure(&corpus, config, scope))
+        .collect();
 
     for (pass, paper, pick) in [("MAY", &PAPER_MAY, 0usize), ("MUST", &PAPER_MUST, 1usize)] {
         let mut table = Table::new(vec![
@@ -954,17 +374,13 @@ fn main() {
             "classpath ms",
             "(paper min)",
         ]);
-        for ms in runs.iter().take(3) {
-            let mut row = vec![ms[0].config.to_string()];
+        for (ci, (ms, (config, _))) in runs.iter().zip(CONFIGS).enumerate() {
+            let mut row = vec![config.to_string()];
             for m in ms {
                 let v = if pick == 0 { m.may_ms() } else { m.must_ms() };
                 row.push(format!("{v:.1}"));
                 let paper_row = paper.iter().find(|(l, _)| *l == m.lib).unwrap().1;
-                let si = runs
-                    .iter()
-                    .position(|r| r[0].config == ms[0].config)
-                    .unwrap();
-                row.push(paper_row[si].to_string());
+                row.push(paper_row[ci].to_string());
             }
             table.row(row);
         }
@@ -992,118 +408,15 @@ fn main() {
     println!("Memoization speedups (paper: 1.5-13x, 3-18x, 15-65x)\n");
     println!("{}", table.render());
 
-    // Parallel headline: wall clock of the engine's parallel global-memo
-    // run against the serial global-memo run.
-    let mut table = Table::new(vec![
-        "library",
-        "serial wall ms",
-        "parallel wall ms",
-        "speedup",
-        "shard contention",
-    ]);
-    for (serial, par) in runs[2].iter().zip(&runs[3]) {
-        let (s, p) = (serial.wall_ms(), par.wall_ms());
-        table.row(vec![
-            serial.lib.to_string(),
-            format!("{s:.1}"),
-            format!("{p:.1}"),
-            format!("{:.1}x", s / p),
-            par.contention_summary(),
-        ]);
-    }
-    println!(
-        "Parallel engine (global memo, {} workers)\n",
-        runs[3][0].jobs
-    );
-    println!("{}", table.render());
-
-    // Incremental configuration: persistent-cache warm start after a
-    // single-method edit (no paper counterpart — the paper re-ran the
-    // whole analysis on every change).
-    eprintln!("measuring warm-cache incremental runs ...");
-    let (cold_edit, warm_edit) = measure_warm_cache(&corpus);
-    let mut table = Table::new(vec![
-        "library",
-        "cold edit wall ms",
-        "warm edit wall ms",
-        "speedup",
-        "roots reanalyzed",
-    ]);
-    for (c, w) in cold_edit.iter().zip(&warm_edit) {
-        table.row(vec![
-            c.lib.to_string(),
-            format!("{:.1}", c.wall_ms()),
-            format!("{:.1}", w.wall_ms()),
-            format!("{:.1}x", c.wall_ms() / w.wall_ms()),
-            format!(
-                "{}/{}",
-                w.stats.cache_misses,
-                w.stats.cache_hits + w.stats.cache_misses
-            ),
-        ]);
-    }
-    println!("Incremental re-analysis after a single-method edit (--cache-dir)\n");
-    println!("{}", table.render());
-    runs.push(cold_edit);
-    runs.push(warm_edit);
-
-    // Resident-daemon warm queries (spo serve): one cold analyze, then
-    // repeat queries answered from the warm policy map.
-    eprintln!("measuring resident (spo serve) warm-query latency ...");
-    let serve = measure_serve(&corpus);
-    let mut table = Table::new(vec![
-        "cold analyze ms",
-        "warm query p50 ms",
-        "warm query p99 ms",
-        "speedup",
-    ]);
-    table.row(vec![
-        format!("{:.1}", serve.cold_ms),
-        format!("{:.4}", serve.p50_ms),
-        format!("{:.4}", serve.p99_ms),
-        format!("{:.0}x", serve.speedup()),
-    ]);
-    println!(
-        "Resident warm queries, jdk, {} queries (spo serve)\n",
-        serve.queries
-    );
-    println!("{}", table.render());
-
-    // Instrumented (recorder-enabled) global-memo runs — separate from the
-    // timed runs so the recorder can't perturb the timings above.
-    eprintln!("instrumenting global-memo runs (recorder enabled) ...");
-    let instrumented = vec![
-        instrument(&corpus, "Summaries (global)", 1),
-        instrument(&corpus, "Summaries (global, parallel)", 0),
-    ];
-
-    let mut table = Table::new(vec![
-        "configuration",
-        "library",
-        "store hit rate",
-        "contended",
-        "transfers/frame",
-        "repass fraction",
-    ]);
-    for inst in &instrumented {
-        for i in inst {
-            table.row(vec![
-                i.config.to_string(),
-                i.lib.to_string(),
-                format!("{:.1}%", 100.0 * i.costs.store_hit_rate()),
-                i.costs.store_contended.to_string(),
-                format!("{:.1}", i.costs.transfers_per_frame()),
-                format!("{:.1}%", 100.0 * i.costs.repass_fraction()),
-            ]);
-        }
-    }
-    println!("Cache efficiency and fixpoint cost (instrumented runs)\n");
-    println!("{}", table.render());
-
     // Scale sweep: does parallel analysis win at scale, and what does
-    // summary publication cost in lock waits when it matters?
+    // summary publication cost in lock waits when it matters? Cross-jobs
+    // speedup is only meaningful relative to the machine's core count,
+    // which the JSON records alongside the rows.
     eprintln!("measuring scale sweep (SPO_SWEEP_SCALES x SPO_SWEEP_JOBS) ...");
-    let (cores, sweep, index) = measure_scale_sweep();
+    let cores = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    let sweep = measure_scale_sweep(&sweep_scales, &sweep_jobs);
     let mut table = Table::new(vec![
         "scale",
         "jobs",
@@ -1115,18 +428,13 @@ fn main() {
     ]);
     for s in &sweep {
         for r in &s.rows {
-            let baseline = s
-                .rows
-                .iter()
-                .find(|b| b.jobs == 1)
-                .map_or(0.0, SweepRow::wall_ms);
             // An oversubscribed cell (workers > cores) measures the
             // host's time slicing, not the engine; label it instead of
             // printing a speedup that reads as a regression.
             let speedup = if r.stats.workers > cores {
                 "(oversubscribed)".to_owned()
             } else {
-                format!("{:.2}x", baseline / r.wall_ms().max(1e-9))
+                format!("{:.2}x", s.speedup(r))
             };
             table.row(vec![
                 format!("{}", s.scale),
@@ -1142,63 +450,68 @@ fn main() {
     println!("Scale sweep, jdk, global memo, {SWEEP_TRIALS} trials per row ({cores} cores)\n");
     println!("{}", table.render());
 
-    // Compiled-index latency (spo index): query/diff without the engine.
-    if let Some(ix) = &index {
-        let mut table = Table::new(vec![
-            "scale",
-            "entries",
-            "build ms",
-            "parse ms",
-            "query p50 us",
-            "query p99 us",
-            "diff ms",
-        ]);
-        table.row(vec![
-            format!("{}", ix.scale),
-            ix.entry_points.to_string(),
-            format!("{:.1}", ix.build_ms),
-            format!("{:.2}", ix.parse_ms),
-            format!("{:.1}", ix.query_p50_us),
-            format!("{:.1}", ix.query_p99_us),
-            format!("{:.1}", ix.diff_ms),
-        ]);
-        println!(
-            "Compiled policy index, jdk, {} queries (spo index)\n",
-            ix.queries
+    match write_json("BENCH_table2.json", scale, &runs, cores, &sweep) {
+        Ok(()) => {
+            eprintln!("wrote BENCH_table2.json");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("BENCH_table2.json: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_grid_accepts_the_defaults_and_the_ci_grid() {
+        assert_eq!(
+            sweep_grid("1,10", "1,2,4,8"),
+            Ok((vec![1.0, 10.0], vec![1, 2, 4, 8]))
         );
-        println!("{}", table.render());
+        assert_eq!(
+            sweep_grid(" 1, 3 ", "2 ,1"),
+            Ok((vec![1.0, 3.0], vec![2, 1]))
+        );
     }
 
-    // Chaos robustness: seeded fault plans against the cache flush path
-    // and the daemon/client loop; correctness is asserted inside, the
-    // counters are the published output.
-    eprintln!("measuring chaos robustness (seeded fault injection) ...");
-    let chaos = measure_chaos(&corpus);
-    let mut table = Table::new(vec![
-        "soak faults injected",
-        "soak recovered",
-        "rpc retries",
-    ]);
-    table.row(vec![
-        chaos.soak_faults_injected.to_string(),
-        chaos.soak_recovered.to_string(),
-        chaos.rpc_retry_count.to_string(),
-    ]);
-    println!("Chaos robustness (seeded fault injection)\n");
-    println!("{}", table.render());
+    #[test]
+    fn sweep_grid_names_an_entry_that_does_not_parse() {
+        let e = sweep_grid("0.5,x", "1,2").unwrap_err();
+        assert!(e.contains("SPO_SWEEP_SCALES") && e.contains("`x`"), "{e}");
+        let e = sweep_grid("1", "1,two").unwrap_err();
+        assert!(e.contains("SPO_SWEEP_JOBS") && e.contains("`two`"), "{e}");
+    }
 
-    match write_json(
-        "BENCH_table2.json",
-        scale,
-        &runs,
-        &instrumented,
-        &serve,
-        index.as_ref(),
-        &chaos,
-        cores,
-        &sweep,
-    ) {
-        Ok(()) => eprintln!("wrote BENCH_table2.json"),
-        Err(e) => eprintln!("BENCH_table2.json: {e}"),
+    #[test]
+    fn sweep_grid_rejects_empty_lists_and_empty_entries() {
+        let e = sweep_grid("", "1").unwrap_err();
+        assert!(e.contains("SPO_SWEEP_SCALES"), "{e}");
+        let e = sweep_grid("1", "").unwrap_err();
+        assert!(e.contains("SPO_SWEEP_JOBS"), "{e}");
+        let e = sweep_grid("1,,3", "1").unwrap_err();
+        assert!(e.contains("SPO_SWEEP_SCALES") && e.contains("``"), "{e}");
+    }
+
+    #[test]
+    fn sweep_grid_rejects_non_positive_values() {
+        for (scales, jobs, var, bad) in [
+            ("0", "1", "SPO_SWEEP_SCALES", "`0`"),
+            ("-1", "1", "SPO_SWEEP_SCALES", "`-1`"),
+            ("NaN", "1", "SPO_SWEEP_SCALES", "`NaN`"),
+            ("1", "1,0", "SPO_SWEEP_JOBS", "`0`"),
+        ] {
+            let e = sweep_grid(scales, jobs).unwrap_err();
+            assert!(e.contains(var) && e.contains(bad), "{e}");
+        }
+    }
+
+    #[test]
+    fn sweep_grid_requires_the_serial_baseline() {
+        let e = sweep_grid("1", "2,4").unwrap_err();
+        assert!(e.contains("SPO_SWEEP_JOBS") && e.contains("`2,4`"), "{e}");
     }
 }

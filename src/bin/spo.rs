@@ -2,17 +2,17 @@
 //!
 //! ```text
 //! spo check <file.jir>...                        parse & validate, print stats
-//! spo analyze <file.jir>... [--broad]            print per-entry security policies
+//! spo analyze <file.jir>...                      print per-entry security policies
 //! spo export <file.jir>... [--name N]            emit the policy exchange format
 //! spo diff <left.jir>... --vs <right.jir>...     run the oracle over two implementations
-//!          [--no-icp] [--broad] [--intra-only]
 //! spo diff-policies <left.txt> <right.txt>       diff two exported policy files
 //! spo serve --socket PATH [--load NAME=FILE]...  resident oracle daemon (spo-rpc/1)
 //! spo rpc --socket PATH '<request-json>'...      send requests to a running daemon
 //! ```
 //!
-//! Multiple `.jir` files per side are layered into one program (e.g. a
-//! shared runtime prelude plus the implementation).
+//! `analyze`, `export` and `diff` also take `--no-icp`, `--broad` and
+//! `--intra-only`. Multiple `.jir` files per side are layered into one
+//! program (e.g. a shared runtime prelude plus the implementation).
 
 use security_policy_oracle::compare_implementations_with;
 use security_policy_oracle::guard::{CancelToken, Cause, Diagnostic, GuardConfig, Phase, Severity};
@@ -93,9 +93,9 @@ spo — security policy oracle (PLDI 2011 reproduction)
 
 USAGE:
   spo check <file.jir>... [--lint] [--jobs N] [--trace-out PATH] [--stats] [--stats-json PATH]
-  spo analyze <file.jir>... [--broad] [--jobs N] [--budget-steps N] [--budget-frames N] [--deadline SECS] [--cache-dir PATH] [--no-cache] [--trace-out PATH] [--stats] [--stats-json PATH]
-  spo export <file.jir>... [--name NAME] [--jobs N] [--cache-dir PATH] [--no-cache] [--trace-out PATH] [--stats] [--stats-json PATH]
-  spo diff <left.jir>... --vs <right.jir>... [--no-icp] [--broad] [--intra-only] [--html] [--jobs N] [--cache-dir PATH] [--no-cache] [--trace-out PATH] [--stats] [--stats-json PATH]
+  spo analyze <file.jir>... [--no-icp] [--broad] [--intra-only] [--jobs N] [--budget-steps N] [--budget-frames N] [--deadline SECS] [--cache-dir PATH] [--no-cache] [--trace-out PATH] [--stats] [--stats-json PATH]
+  spo export <file.jir>... [--name NAME] [--no-icp] [--broad] [--intra-only] [--jobs N] [--budget-steps N] [--budget-frames N] [--deadline SECS] [--cache-dir PATH] [--no-cache] [--trace-out PATH] [--stats] [--stats-json PATH]
+  spo diff <left.jir>... --vs <right.jir>... [--no-icp] [--broad] [--intra-only] [--html] [--jobs N] [--budget-steps N] [--budget-frames N] [--deadline SECS] [--cache-dir PATH] [--no-cache] [--trace-out PATH] [--stats] [--stats-json PATH]
   spo diff-policies <left-policies.txt> <right-policies.txt>
   spo throws <left.jir>... --vs <right.jir>...
   spo stats-validate [--schema spo-stats/1|spo-trace/1] <snapshot.json>
@@ -738,6 +738,10 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     };
     write_report(&lane, &report)?;
     diags.extend(lib.degraded.values().cloned());
+    {
+        let _teardown = lane.span("teardown", "cli");
+        drop((report, lib, engine, program));
+    }
     trace_opts.write(&tracer)?;
     stats_opts.emit(&rec)?;
     Ok(finish(&diags, false))
@@ -781,6 +785,10 @@ fn cmd_export(args: &[String]) -> Result<ExitCode, String> {
     };
     write_report(&lane, &exported)?;
     diags.extend(lib.degraded.values().cloned());
+    {
+        let _teardown = lane.span("teardown", "cli");
+        drop((exported, lib, engine, program));
+    }
     trace_opts.write(&tracer)?;
     stats_opts.emit(&rec)?;
     Ok(finish(&diags, false))
@@ -828,9 +836,14 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     // so the diff silently skips it; surface the exclusion instead.
     diags.extend(report.left.degraded.values().cloned());
     diags.extend(report.right.degraded.values().cloned());
+    let findings = !report.groups.is_empty();
+    {
+        let _teardown = lane.span("teardown", "cli");
+        drop((rendered, report, engine, left, right));
+    }
     trace_opts.write(&tracer)?;
     stats_opts.emit(&rec)?;
-    Ok(finish(&diags, !report.groups.is_empty()))
+    Ok(finish(&diags, findings))
 }
 
 fn cmd_throws(args: &[String]) -> Result<ExitCode, String> {

@@ -66,6 +66,28 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn usage_lists_the_option_and_budget_flags_of_analyze_export_and_diff() {
+    let out = spo(&["--help"]);
+    let usage = String::from_utf8_lossy(&out.stderr);
+    for cmd in ["analyze", "export", "diff"] {
+        let line = usage
+            .lines()
+            .find(|l| l.trim_start().starts_with(&format!("spo {cmd} ")))
+            .unwrap_or_else(|| panic!("no usage line for `{cmd}`:\n{usage}"));
+        for flag in [
+            "[--no-icp]",
+            "[--broad]",
+            "[--intra-only]",
+            "[--budget-steps N]",
+            "[--budget-frames N]",
+            "[--deadline SECS]",
+        ] {
+            assert!(line.contains(flag), "`{cmd}` usage misses {flag}: {line}");
+        }
+    }
+}
+
+#[test]
 fn unknown_command_fails() {
     let out = spo(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(3));

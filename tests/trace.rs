@@ -67,16 +67,35 @@ class api.F {
 }
 "#;
 
+/// The complete events named `name` in a capture, one line each.
+fn spans<'d>(doc: &'d str, name: &str) -> Vec<&'d str> {
+    let key = format!("{{\"name\":\"{name}\",");
+    doc.lines()
+        .filter(|l| l.contains(&key) && l.contains("\"ph\":\"X\""))
+        .collect()
+}
+
 /// Counts complete events named `name` in a capture.
 fn spans_named(doc: &str, name: &str) -> usize {
-    doc.lines()
-        .filter(|l| l.contains(&format!("{{\"name\":\"{name}\",")) && l.contains("\"ph\":\"X\""))
-        .count()
+    spans(doc, name).len()
+}
+
+/// The `(ts, dur)` of the first complete event named `name`, in
+/// microseconds.
+fn span_time(doc: &str, name: &str) -> (f64, f64) {
+    let line = spans(doc, name)[0];
+    let field = |key: &str| -> f64 {
+        let rest = &line[line.find(&format!("\"{key}\":")).unwrap() + key.len() + 3..];
+        let end = rest.find([',', '}']).unwrap();
+        rest[..end].parse().unwrap()
+    };
+    (field("ts"), field("dur"))
 }
 
 /// The `cli` lane of an analyze, export or diff capture covers the whole
 /// command around the engine: a `load` per side holding one `parse` per
-/// input file, then one `render` and one `write`.
+/// input file, then one `render`, one `write`, and a `teardown` that
+/// starts once `write` has ended.
 fn assert_cli_phases(doc: &str, sides: usize, files: usize) {
     assert!(
         doc.contains("\"args\":{\"name\":\"cli\"}"),
@@ -86,6 +105,13 @@ fn assert_cli_phases(doc: &str, sides: usize, files: usize) {
     assert_eq!(spans_named(doc, "parse"), files, "one parse span per file");
     assert_eq!(spans_named(doc, "render"), 1);
     assert_eq!(spans_named(doc, "write"), 1);
+    assert_eq!(spans_named(doc, "teardown"), 1);
+    let (write_ts, write_dur) = span_time(doc, "write");
+    let (teardown_ts, _) = span_time(doc, "teardown");
+    assert!(
+        teardown_ts >= write_ts + write_dur,
+        "teardown ({teardown_ts}) follows write ({write_ts} + {write_dur})"
+    );
 }
 
 #[test]
